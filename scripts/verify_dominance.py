@@ -25,7 +25,9 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
         "--cross-check", action="store_true",
-        help="also run the slow oracle generator and compare (small ranks only)",
+        help="also run the slow oracle generator and compare; it dominates the "
+        "run time: about 2 s up to r=6 g=2, about 40 s at r=6 g=3, and over "
+        "10 min at r=7 g=3 (2-CPU host)",
     )
     args = parser.parse_args()
 

@@ -15,20 +15,20 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .core import (
     BundleNumerics,
     CurveParams,
+    HNPolygon,
     format_rational,
     rational_to_json,
+    shatz_leq,
     strata_poset,
 )
 from .enumeration import (
     DEFAULT_MAX_RANK,
     enumerate_admissible,
-    polygons_to_csv_rows,
-    polygons_to_json,
     verify_oper_maximality,
 )
 from .filtrations import (
@@ -78,11 +78,12 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def emit(fmt: str, json_obj: Any, header: list[str], rows: list[list[Any]]) -> None:
+def emit(fmt: str, json_obj: Any, header: list[str], rows: Iterable[list[Any]]) -> None:
     """Write one result in the requested format.
 
     ``json_obj`` is the machine-readable shape; ``header``/``rows`` drive
-    the csv and table renderings.
+    the csv and table renderings.  ``rows`` is not read for json, so a
+    generator passed there costs nothing on that path.
     """
     if fmt == "json":
         print(json.dumps(_jsonable(json_obj), sort_keys=True))
@@ -102,6 +103,11 @@ def emit(fmt: str, json_obj: Any, header: list[str], rows: list[list[Any]]) -> N
     print(_style_header("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()))
     for row in str_rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+
+
+def _breakpoints_cell(poly: HNPolygon) -> str:
+    """A polygon's breakpoints as one csv/table cell, e.g. ``0,0;1,1;2,0``."""
+    return ";".join(f"{x},{y}" for x, y in poly.breakpoints)
 
 
 def cmd_oper_polygon(args: argparse.Namespace) -> int:
@@ -215,9 +221,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"estimated search-space size: about {estimate} degree vectors",
             file=sys.stderr,
         )
-    polys = enumerate_admissible(
-        args.rank, args.genus, max_rank=args.max_rank, jobs=args.jobs
-    )
     if args.verify:
         report = verify_oper_maximality(
             args.rank, args.genus, max_rank=args.max_rank, jobs=args.jobs
@@ -238,15 +241,23 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
               report.unique_maximum, report.passed]],
         )
         return 0 if report.passed else VERIFICATION_FAILURE
-    header, rows = polygons_to_csv_rows(polys, args.rank, args.genus)
-    emit(args.format, polygons_to_json(polys), header, rows)
+    polys = enumerate_admissible(
+        args.rank, args.genus, max_rank=args.max_rank, jobs=args.jobs
+    )
+    top = oper_polygon(args.rank, args.genus)
+    emit(
+        args.format,
+        [p.to_json() for p in polys],
+        ["breakpoints", "is_oper", "dominated_by_oper"],
+        ([_breakpoints_cell(p), str(p == top), str(shatz_leq(p, top))] for p in polys),
+    )
     return 0
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
     polys = enumerate_admissible(args.rank, args.genus, max_rank=args.max_rank)
     poset = strata_poset(polys)
-    elements = [";".join(f"{x},{y}" for x, y in p.breakpoints) for p in poset.elements]
+    elements = [_breakpoints_cell(p) for p in poset.elements]
     emit(
         args.format,
         {

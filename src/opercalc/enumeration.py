@@ -170,34 +170,40 @@ class MaximalityReport:
     count: int
     all_dominated: bool
     oper_polygon_present: bool
-    unique_maximum: bool
     counterexamples: tuple[HNPolygon, ...]
 
     @property
+    def unique_maximum(self) -> bool:
+        """Whether the oper polygon is the only maximal admissible polygon.
+
+        Implied by the two stored facts.  If every polygon lies under the oper
+        polygon and the oper polygon is present, no other polygon is maximal,
+        and the oper polygon is: any q above it is also under it, so q equals
+        it by antisymmetry of the Shatz order on canonical polygons.  If
+        either fact fails, the oper polygon is absent or some polygon is not
+        under it, so it is not the unique maximum.
+        """
+        return self.all_dominated and self.oper_polygon_present
+
+    @property
     def passed(self) -> bool:
-        return self.all_dominated and self.oper_polygon_present and self.unique_maximum
+        return self.all_dominated and self.oper_polygon_present
 
 
 def verify_oper_maximality(
     r: int, g: int, max_rank: int = DEFAULT_MAX_RANK, jobs: int = 1
 ) -> MaximalityReport:
     """Check that the oper polygon dominates every admissible polygon and is
-    itself the unique admissible maximum."""
+    itself admissible, hence the unique admissible maximum."""
     polys = enumerate_admissible(r, g, max_rank=max_rank, jobs=jobs)
     top = oper_polygon(r, g)
     counterexamples = tuple(p for p in polys if not shatz_leq(p, top))
-    maxima = [
-        p
-        for p in polys
-        if not any(q != p and shatz_leq(p, q) for q in polys)
-    ]
     return MaximalityReport(
         r=r,
         g=g,
         count=len(polys),
         all_dominated=not counterexamples,
         oper_polygon_present=top in polys,
-        unique_maximum=maxima == [top],
         counterexamples=counterexamples,
     )
 
@@ -240,19 +246,3 @@ def key_inequality_check(l: int, m_values: Sequence[int]) -> bool:
     rhs = (2 * l - 1) * sum(m_values)
     return lhs <= rhs
 
-
-def polygons_to_json(polygons: Sequence[HNPolygon]) -> list[dict]:
-    return [p.to_json() for p in polygons]
-
-
-def polygons_to_csv_rows(
-    polygons: Sequence[HNPolygon], r: int, g: int
-) -> tuple[list[str], list[list[str]]]:
-    """One row per polygon: flattened breakpoints plus verification flags."""
-    top = oper_polygon(r, g)
-    header = ["breakpoints", "is_oper", "dominated_by_oper"]
-    rows = []
-    for p in polygons:
-        flat = ";".join(f"{x},{y}" for x, y in p.breakpoints)
-        rows.append([flat, str(p == top), str(shatz_leq(p, top))])
-    return header, rows

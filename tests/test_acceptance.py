@@ -35,7 +35,6 @@ from opercalc import (
     verify_oper_maximality,
     worst_case_subbundle_slope_bound,
 )
-from opercalc.enumeration import polygons_to_json
 from opercalc.filtrations import _partitions, sun_gap_term
 from opercalc.laws import random_polygon
 
@@ -91,10 +90,7 @@ def test_criterion_4_dominance_theorem():
         report = verify_oper_maximality(r, g)
         ok = ok and report.passed and report.unique_maximum
         ok = ok and enumerate_admissible(r, g) == enumerate_admissible_slow(r, g)
-    start = time.monotonic()
     for r in (6, 7):
-        if time.monotonic() - start > 300:
-            break
         report = verify_oper_maximality(r, 2)
         ok = ok and report.passed and report.unique_maximum
     _report(4, "oper polygon dominance", ok)
@@ -183,8 +179,6 @@ def test_criterion_8_property_suites():
     )
     for r, g in itertools.product(range(2, 6), (2, 3)):
         polys = enumerate_admissible(r, g)
-        round_tripped = tuple(
-            HNPolygon.from_json(obj) for obj in polygons_to_json(polys)
-        )
+        round_tripped = tuple(HNPolygon.from_json(p.to_json()) for p in polys)
         ok = ok and round_tripped == polys
     _report(8, "property suites", ok)

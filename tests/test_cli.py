@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -98,6 +100,17 @@ class TestEnumerateCommand:
         assert code == 0
         polys = tuple(HNPolygon.from_json(obj) for obj in json.loads(out))
         assert polys == enumerate_admissible(3, 2)
+
+    def test_csv_flags_the_oper_polygon(self, capture):
+        code, out, _ = capture(
+            "enumerate", "--rank", "3", "--genus", "2", "--format", "csv"
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["breakpoints", "is_oper", "dominated_by_oper"]
+        assert len(rows) == len(enumerate_admissible(3, 2))
+        assert sum(row[1] == "True" for row in rows) == 1
+        assert all(row[2] == "True" for row in rows)
 
     def test_deterministic_output(self, capture):
         _, first, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "csv")

@@ -9,10 +9,10 @@ from opercalc import (
     key_inequality_check,
     oper_polygon,
     shatz_leq,
+    strata_poset,
     verify_oper_maximality,
     verify_target_inequalities,
 )
-from opercalc.enumeration import polygons_to_csv_rows, polygons_to_json
 
 
 class TestEnumerateAdmissible:
@@ -89,6 +89,17 @@ class TestVerifyOperMaximality:
         assert report.passed
         assert not report.counterexamples
 
+    @pytest.mark.parametrize(
+        "r, g", [(r, 2) for r in range(2, 6)] + [(r, 3) for r in range(2, 5)]
+    )
+    def test_hasse_diagram_has_oper_polygon_as_only_maximum(self, r, g):
+        # unique_maximum is derived from dominance plus presence; this checks
+        # uniqueness by the independent route of the poset's maximal elements.
+        poset = strata_poset(enumerate_admissible(r, g))
+        maxima = poset.maximal_indices()
+        assert len(maxima) == 1
+        assert poset.elements[maxima[0]] == oper_polygon(r, g)
+
 
 class TestVerifyTargetInequalities:
     def test_oper_polygon_attains_equality(self):
@@ -130,17 +141,3 @@ class TestKeyInequality:
         for l in range(2, 7):
             for m_values in itertools.product(range(5), repeat=l - 1):
                 assert key_inequality_check(l, m_values)
-
-
-class TestExports:
-    def test_json_round_trip(self):
-        polys = enumerate_admissible(3, 2)
-        back = tuple(HNPolygon.from_json(obj) for obj in polygons_to_json(polys))
-        assert back == polys
-
-    def test_csv_rows_flag_the_oper_polygon(self):
-        polys = enumerate_admissible(3, 2)
-        header, rows = polygons_to_csv_rows(polys, 3, 2)
-        assert header == ["breakpoints", "is_oper", "dominated_by_oper"]
-        assert sum(row[1] == "True" for row in rows) == 1
-        assert all(row[2] == "True" for row in rows)
