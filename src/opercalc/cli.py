@@ -222,9 +222,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.verify:
-        report = verify_oper_maximality(
-            args.rank, args.genus, max_rank=args.max_rank, jobs=args.jobs
-        )
+        report = verify_oper_maximality(args.rank, args.genus, max_rank=args.max_rank)
         emit(
             args.format,
             {
@@ -241,9 +239,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
               report.unique_maximum, report.passed]],
         )
         return 0 if report.passed else VERIFICATION_FAILURE
-    polys = enumerate_admissible(
-        args.rank, args.genus, max_rank=args.max_rank, jobs=args.jobs
-    )
+    polys = enumerate_admissible(args.rank, args.genus, max_rank=args.max_rank)
     top = oper_polygon(args.rank, args.genus)
     emit(
         args.format,
@@ -404,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--verify", action="store_true",
                     help="check dominance by the oper polygon; exit 1 on failure")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     sp.set_defaults(func=cmd_enumerate)
 

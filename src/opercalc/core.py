@@ -104,13 +104,13 @@ class HNPolygon:
             raise ValueError("polygon needs at least two breakpoints")
         if pts[0] != (0, 0):
             raise ValueError(f"first breakpoint must be (0, 0), got {pts[0]}")
-        slopes = []
+        segs = []  # (width, rise) per segment, width > 0
         for (r0, d0), (r1, d1) in zip(pts, pts[1:]):
             if r1 <= r0:
                 raise ValueError("breakpoint ranks must strictly increase")
-            slopes.append(Fraction(d1 - d0, r1 - r0))
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s1 >= s0:
+            segs.append((r1 - r0, d1 - d0))
+        for (w0, h0), (w1, h1) in zip(segs, segs[1:]):
+            if h1 * w0 >= h0 * w1:  # slope h1/w1 >= h0/w0
                 raise ValueError(
                     "segment slopes must strictly decrease (strict convexity)"
                 )

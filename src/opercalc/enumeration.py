@@ -10,7 +10,6 @@ absolute value, which truncates the search.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -25,77 +24,50 @@ def _complete(
     r: int,
     g: int,
     pts: list[tuple[int, int]],
-    prev_slope: Fraction | None,
+    prev: tuple[int, int] | None,
     out: list[HNPolygon],
 ) -> None:
-    """Extend a partial breakpoint chain ending at pts[-1] to (r, 0)."""
+    """Extend a partial breakpoint chain ending at pts[-1] to (r, 0).
+
+    ``prev`` is the slope of the last segment as an integer pair
+    ``(rise, run)`` with ``run > 0``, or None at the origin.  Chains are
+    found in increasing lexicographic order of their breakpoints, each once.
+    """
     x, y = pts[-1]
     gap = 2 * g - 2
-    max_first = Fraction((r - 1) * gap)
     for x2 in range(x + 1, r + 1):
         dx = x2 - x
-        if prev_slope is None:
-            y2_hi = y + (max_first * dx).__floor__()
+        if prev is None:
+            y2_hi = y + (r - 1) * gap * dx
             y2_lo = -(r - 1) * gap * dx  # slack; tightened below
         else:
-            # slope strictly below the previous one, gap at most 2g-2
-            hi = y + prev_slope * dx
-            y2_hi = hi.__ceil__() - 1
-            y2_lo = (y + (prev_slope - gap) * dx).__ceil__()
+            # slope strictly below the previous one, gap at most 2g-2:
+            # y2_hi = ceil(y + prev*dx) - 1, y2_lo = ceil(y + (prev - gap)*dx)
+            rise, run = prev
+            y2_hi = y - (-rise * dx) // run - 1
+            y2_lo = y - ((gap * run - rise) * dx) // run
         if x2 == r:
             if y2_lo <= 0 <= y2_hi:
-                s = Fraction(-y, dx)
-                if prev_slope is None or (s < prev_slope and prev_slope - s <= gap):
-                    out.append(HNPolygon(tuple(pts) + ((r, 0),)))
+                out.append(HNPolygon(tuple(pts) + ((r, 0),)))
             continue
         rest = r - x2
         for y2 in range(max(1, y2_lo), y2_hi + 1):
-            s = Fraction(y2 - y, dx)
-            # remaining chord slope: strictly below s, reachable within
-            # at most `rest` further drops of 2g-2
-            c = Fraction(-y2, rest)
-            if not (s - rest * gap <= c < s):
+            # remaining chord slope c = -y2/rest: strictly below the slope
+            # s = (y2-y)/dx, and reachable within at most `rest` further
+            # drops of 2g-2: s - rest*gap <= c < s, scaled by dx*rest > 0
+            s_scaled = (y2 - y) * rest
+            if not (s_scaled - gap * dx * rest * rest <= -y2 * dx < s_scaled):
                 continue
             pts.append((x2, y2))
-            _complete(r, g, pts, s, out)
+            _complete(r, g, pts, (y2 - y, dx), out)
             pts.pop()
 
 
-def _enumerate_serial(r: int, g: int) -> list[HNPolygon]:
-    out: list[HNPolygon] = []
-    _complete(r, g, [(0, 0)], None, out)
-    return sorted(set(out), key=lambda p: p.breakpoints)
-
-
-def _first_steps(r: int, g: int) -> list[tuple[int, int]]:
-    """All possible first breakpoints after (0, 0), for search partitioning."""
-    gap = 2 * g - 2
-    steps = []
-    for x1 in range(1, r):
-        for y1 in range(1, x1 * (r - 1) * gap + 1):
-            s = Fraction(y1, x1)
-            c = Fraction(-y1, r - x1)
-            if s - (r - x1) * gap <= c < s:
-                steps.append((x1, y1))
-    return steps
-
-
-def _enumerate_branch(args: tuple[int, int, tuple[int, int]]) -> list[HNPolygon]:
-    r, g, first = args
-    out: list[HNPolygon] = []
-    _complete(r, g, [(0, 0), first], Fraction(first[1], first[0]), out)
-    return out
-
-
 def enumerate_admissible(
-    r: int, g: int, max_rank: int = DEFAULT_MAX_RANK, jobs: int = 1
+    r: int, g: int, max_rank: int = DEFAULT_MAX_RANK
 ) -> tuple[HNPolygon, ...]:
     """Every admissible degree-0 rank-r polygon, including the trivial
-    segment, in canonical sorted order.
-
-    ``jobs > 1`` partitions the search by first breakpoint across worker
-    processes; the merge is a deterministic sorted union.
-    """
+    segment, in canonical sorted order."""
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
     if g < 2:
@@ -104,14 +76,9 @@ def enumerate_admissible(
         raise ValueError(
             f"rank {r} above enumeration cap {max_rank}; raise max_rank to proceed"
         )
-    if jobs <= 1:
-        return tuple(_enumerate_serial(r, g))
-    polys = {HNPolygon.trivial(r)}
-    work = [(r, g, first) for first in _first_steps(r, g)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for branch in pool.map(_enumerate_branch, work):
-            polys.update(branch)
-    return tuple(sorted(polys, key=lambda p: p.breakpoints))
+    out: list[HNPolygon] = []
+    _complete(r, g, [(0, 0)], None, out)
+    return tuple(out)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -133,12 +100,7 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
     gap = 2 * g - 2
     found: set[HNPolygon] = set()
 
-    def extend(
-        ranks: tuple[int, ...],
-        degrees: tuple[int, ...],
-        comp: tuple[int, ...],
-        bound: int,
-    ) -> None:
+    def extend(degrees: tuple[int, ...], comp: tuple[int, ...], bound: int) -> None:
         i = len(degrees)
         if i == len(comp):
             if sum(degrees) == 0:
@@ -152,14 +114,12 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
             prev = Fraction(degrees[-1], comp[i - 1])
             lo = max(lo, (n * prev).__floor__() + 1)
         for d in range(lo, n * bound + 1):
-            if degrees and Fraction(d, n) <= Fraction(degrees[-1], comp[i - 1]):
-                continue
-            extend(ranks, degrees + (d,), comp, bound)
+            extend(degrees + (d,), comp, bound)
 
     for l in range(1, r + 1):
         bound = (l - 1) * gap
         for comp in _compositions(r, l):
-            extend(comp, (), comp, bound)
+            extend((), comp, bound)
     return tuple(sorted(found, key=lambda p: p.breakpoints))
 
 
@@ -187,15 +147,15 @@ class MaximalityReport:
 
     @property
     def passed(self) -> bool:
-        return self.all_dominated and self.oper_polygon_present
+        return self.unique_maximum
 
 
 def verify_oper_maximality(
-    r: int, g: int, max_rank: int = DEFAULT_MAX_RANK, jobs: int = 1
+    r: int, g: int, max_rank: int = DEFAULT_MAX_RANK
 ) -> MaximalityReport:
     """Check that the oper polygon dominates every admissible polygon and is
     itself admissible, hence the unique admissible maximum."""
-    polys = enumerate_admissible(r, g, max_rank=max_rank, jobs=jobs)
+    polys = enumerate_admissible(r, g, max_rank=max_rank)
     top = oper_polygon(r, g)
     counterexamples = tuple(p for p in polys if not shatz_leq(p, top))
     return MaximalityReport(
@@ -217,14 +177,12 @@ def verify_target_inequalities(polygon: HNPolygon, g: int) -> bool:
     if polygon.breakpoints[-1][1] != 0:
         raise ValueError("target inequalities apply to degree-0 polygons")
     qd = polygon.quotient_data()  # slopes increasing: bottom-up order
-    r = polygon.total_rank
     l = len(qd)
     for i in range(1, l):
         # deg(V_i) is the sum of the degrees of the quotients above step i
         deg_vi = sum(d for _, d in qd[i:])
         low = sum(n for n, _ in qd[:i])
         high = sum(n for n, _ in qd[i:])
-        assert low + high == r
         if deg_vi > (g - 1) * low * high:
             return False
     return True

@@ -75,6 +75,10 @@ class TestHNPolygon:
         with pytest.raises(ValueError):
             HNPolygon(((0, 0), (1, 1), (2, 2)))
 
+    def test_rejects_increasing_slopes(self):
+        with pytest.raises(ValueError, match="strictly decrease"):
+            HNPolygon(((0, 0), (1, 1), (3, 5)))
+
     def test_rejects_nondecreasing_ranks(self):
         with pytest.raises(ValueError):
             HNPolygon(((0, 0), (2, 1), (1, 2)))
