@@ -25,8 +25,8 @@ def main() -> int:
     parser.add_argument(
         "--cross-check", action="store_true",
         help="also run the slow oracle generator and compare; it dominates the "
-        "run time: under 1 s up to r=6 g=2, about 12 s at r=6 g=3, and about "
-        "3.5 min at r=7 g=3 (2-CPU host)",
+        "run time: about 0.05 s at r=6 g=2, 0.5 s at r=6 g=3 and 2 s at r=7 "
+        "g=3 (2-CPU host)",
     )
     args = parser.parse_args()
 

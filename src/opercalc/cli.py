@@ -50,6 +50,9 @@ from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
+# strata compares every pair of elements: the 5767 of r=7 g=3 take about 50 s,
+# the 29 427 of r=8 g=3 would take about 25 minutes.
+STRATA_MAX_ELEMENTS = 6000
 
 
 def _style_header(text: str) -> str:
@@ -252,6 +255,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_strata(args: argparse.Namespace) -> int:
     polys = enumerate_admissible(args.rank, args.genus, max_rank=args.max_rank)
+    if len(polys) > STRATA_MAX_ELEMENTS:
+        raise ValueError(
+            f"strata at rank {args.rank} genus {args.genus} has {len(polys)} "
+            f"polygons, above the limit of {STRATA_MAX_ELEMENTS}; it compares "
+            "every pair, so its time grows with the square of that count"
+        )
     poset = strata_poset(polys)
     elements = [_breakpoints_cell(p) for p in poset.elements]
     emit(

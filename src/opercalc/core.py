@@ -1,15 +1,18 @@
 """Exact polygon arithmetic: bundle numerics, convex HN polygons, dominance order.
 
 Everything here is a pure value computed with :class:`fractions.Fraction`;
-no floating point is used anywhere in the package.
+no floating point is used anywhere in the package.  The dominance order
+(:func:`shatz_leq`, :func:`strata_poset`) is decided on the integer
+breakpoints by cross-multiplication, without building a ``Fraction``;
+:meth:`HNPolygon.value_at` and the rest of the public API still return
+``Fraction`` values.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def _is_prime(n: int) -> bool:
@@ -198,18 +201,38 @@ def polygon_from_quotient_data(
     return HNPolygon(tuple(pts))
 
 
+def _below(a: HNPolygon, b: HNPolygon) -> bool:
+    """True iff every breakpoint of ``a`` lies on or below ``b``.
+
+    ``a`` must not reach past ``b``'s last rank.  A point ``(x, y)`` on the
+    segment ``(r0, d0)-(r1, d1)`` of ``b`` passes when
+    ``y <= d0 + (d1 - d0)(x - r0)/(r1 - r0)``, tested with the width
+    ``r1 - r0 > 0`` multiplied through.
+    """
+    segments = zip(b.breakpoints, b.breakpoints[1:])
+    (r0, d0), (r1, d1) = next(segments)
+    for x, y in a.breakpoints:
+        while x > r1:
+            (r0, d0), (r1, d1) = next(segments)
+        width = r1 - r0
+        if y * width > d0 * width + (d1 - d0) * (x - r0):
+            return False
+    return True
+
+
 def shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:
     """True iff ``b`` lies on or above ``a`` (``a`` below ``b`` in the
     dominance order on polygons with common endpoints).
 
-    Both polygons are piecewise linear with kinks only at integer ranks,
-    so sampling at the integers decides dominance everywhere.
+    On each segment of ``a`` the difference ``b - a`` is concave, so its
+    minimum is at the segment's ends: testing the breakpoints of ``a``
+    decides dominance everywhere.
     """
     if a.endpoint != b.endpoint:
         raise ValueError(
             f"polygons not comparable: endpoints {a.endpoint} != {b.endpoint}"
         )
-    return all(b.value_at(x) >= a.value_at(x) for x in range(a.total_rank + 1))
+    return _below(a, b)
 
 
 @dataclass(frozen=True)
@@ -242,13 +265,28 @@ def strata_poset(polygons: Iterable[HNPolygon]) -> PosetDescription:
     for p in elements:
         if p.endpoint != endpoint:
             raise ValueError("all polygons must share the same endpoints")
-    n = len(elements)
-    leq = [[shatz_leq(elements[i], elements[j]) for j in range(n)] for i in range(n)]
+    # above[i] has bit j set iff elements[j] lies strictly above elements[i];
+    # the order is transitive, so j covers i iff no k above i has j above it
+    # (Aho, Garey and Ullman, "The transitive reduction of a directed graph").
+    above = []
+    for i, a in enumerate(elements):
+        bits = 0
+        for j, b in enumerate(elements):
+            if j != i and _below(a, b):
+                bits |= 1 << j
+        above.append(bits)
     covers = []
-    for i, j in itertools.product(range(n), repeat=2):
-        if i == j or not leq[i][j]:
-            continue
-        if any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n)):
-            continue
-        covers.append((i, j))
-    return PosetDescription(elements, tuple(sorted(covers)))
+    for i, bits in enumerate(above):
+        reach = 0
+        for k in _set_bits(bits):
+            reach |= above[k]
+        covers.extend((i, j) for j in _set_bits(bits & ~reach))
+    return PosetDescription(elements, tuple(covers))
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask >= 0``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -92,9 +92,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
     """Independent oracle: enumerate quotient data (rank, degree) vectors
-    within the proven degree bounds and filter by convexity, degree 0 and
-    the gap constraints.  Slower than :func:`enumerate_admissible` but
-    structurally unrelated to it."""
+    within the proven degree bounds, each degree kept to slopes that
+    increase by at most the gap, and keep those of total degree 0.  Slower
+    than :func:`enumerate_admissible` but structurally unrelated to it."""
     if r < 2 or g < 2:
         raise ValueError("need r >= 2 and g >= 2")
     gap = 2 * g - 2
@@ -104,16 +104,16 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
         i = len(degrees)
         if i == len(comp):
             if sum(degrees) == 0:
-                slopes = [Fraction(d, n) for n, d in zip(comp, degrees)]
-                if all(b - a <= gap for a, b in zip(slopes, slopes[1:])):
-                    found.add(polygon_from_quotient_data(comp, degrees))
+                found.add(polygon_from_quotient_data(comp, degrees))
             return
         n = comp[i]
-        lo = -n * bound
+        lo, hi = -n * bound, n * bound
         if degrees:
+            # slope d/n strictly above the previous one, by at most the gap
             prev = Fraction(degrees[-1], comp[i - 1])
             lo = max(lo, (n * prev).__floor__() + 1)
-        for d in range(lo, n * bound + 1):
+            hi = min(hi, (n * (prev + gap)).__floor__())
+        for d in range(lo, hi + 1):
             extend(degrees + (d,), comp, bound)
 
     for l in range(1, r + 1):

@@ -126,6 +126,13 @@ class TestEnumerateCommand:
         top = payload["elements"][payload["maximal"][0]]
         assert top == {"breakpoints": [[0, 0], [1, 2], [2, 2], [3, 0]]}
 
+    def test_strata_refuses_too_many_elements(self, capture, monkeypatch):
+        monkeypatch.setattr("opercalc.cli.STRATA_MAX_ELEMENTS", 4)
+        code, out, err = capture("strata", "--rank", "3", "--genus", "2")
+        assert code == 2
+        assert out == ""
+        assert "5 polygons, above the limit of 4" in err
+
 
 class TestSweepConfig:
     def test_dims_config_produces_csv_rows(self, capture, tmp_path):

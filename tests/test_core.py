@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,32 @@ from opercalc import (
     BundleNumerics,
     CurveParams,
     HNPolygon,
+    PosetDescription,
+    enumerate_admissible,
     polygon_from_quotient_data,
     shatz_leq,
     strata_poset,
 )
+
+
+def reference_shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:
+    """Dominance by sampling both polygons' exact values at every integer."""
+    return all(b.value_at(x) >= a.value_at(x) for x in range(a.total_rank + 1))
+
+
+def reference_strata_poset(polygons) -> PosetDescription:
+    """Covers by the cubic scan: i < j with no k strictly between them."""
+    elements = tuple(sorted(set(polygons), key=lambda p: p.breakpoints))
+    n = len(elements)
+    leq = [[reference_shatz_leq(a, b) for b in elements] for a in elements]
+    covers = [
+        (i, j)
+        for i, j in itertools.product(range(n), repeat=2)
+        if i != j
+        and leq[i][j]
+        and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
+    ]
+    return PosetDescription(elements, tuple(covers))
 
 
 def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
@@ -149,6 +172,11 @@ class TestShatzLeq:
         if shatz_leq(a, b) and shatz_leq(b, c):
             assert shatz_leq(a, c)
 
+    @given(concave_polygons(6), concave_polygons(6))
+    def test_matches_value_sampling_reference(self, a, b):
+        assert shatz_leq(a, b) == reference_shatz_leq(a, b)
+        assert shatz_leq(b, a) == reference_shatz_leq(b, a)
+
     @given(concave_polygons(7))
     def test_value_at_is_concave(self, poly):
         for x in range(1, poly.total_rank):
@@ -194,3 +222,10 @@ class TestStrataPoset:
     def test_mismatched_endpoints_raise(self):
         with pytest.raises(ValueError):
             strata_poset([HNPolygon.trivial(2), HNPolygon.trivial(3)])
+
+    @pytest.mark.parametrize(
+        "r, g", [(r, 2) for r in range(2, 6)] + [(r, 3) for r in range(2, 5)]
+    )
+    def test_matches_cubic_reference(self, r, g):
+        polys = enumerate_admissible(r, g)
+        assert strata_poset(polys) == reference_strata_poset(polys)

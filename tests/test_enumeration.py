@@ -60,7 +60,10 @@ class TestEnumerateAdmissible:
                 assert hi - lo <= gap
 
     def test_slow_oracle_agrees(self):
-        cases = [*itertools.product(range(2, 6), (2, 3)), (6, 2), (3, 4), (4, 4)]
+        cases = [
+            *itertools.product(range(2, 6), (2, 3)),
+            (6, 2), (3, 4), (4, 4), (6, 3), (7, 2),
+        ]
         for r, g in cases:
             assert enumerate_admissible(r, g) == enumerate_admissible_slow(r, g)
 
