@@ -11,11 +11,7 @@ import argparse
 import sys
 import time
 
-from opercalc import (
-    enumerate_admissible,
-    enumerate_admissible_slow,
-    verify_oper_maximality,
-)
+from opercalc import enumerate_admissible_slow, verify_oper_maximality
 
 
 def main() -> int:
@@ -43,9 +39,7 @@ def main() -> int:
             )
             all_ok = all_ok and report.passed
             if args.cross_check:
-                slow = enumerate_admissible_slow(r, g)
-                fast = enumerate_admissible(r, g, max_rank=args.max_rank)
-                agree = slow == fast
+                agree = enumerate_admissible_slow(r, g) == report.polygons
                 print(f"  slow oracle: {'agrees' if agree else 'DISAGREES'}")
                 all_ok = all_ok and agree
     return 0 if all_ok else 1

@@ -325,20 +325,14 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 def cmd_check_laws(args: argparse.Namespace) -> int:
     results = run_all_laws()
-    failures = 0
-    rows = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        rows.append([res.name, status, res.detail])
-        if not res.passed:
-            failures += 1
+    rows = [[res.name, "PASS" if res.passed else "FAIL", res.detail] for res in results]
     emit(
         args.format,
         [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         ["law", "status", "detail"],
         rows,
     )
-    return 0 if failures == 0 else VERIFICATION_FAILURE
+    return 0 if all(res.passed for res in results) else VERIFICATION_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:

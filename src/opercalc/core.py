@@ -10,7 +10,7 @@ breakpoints by cross-multiplication, without building a ``Fraction``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 

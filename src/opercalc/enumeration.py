@@ -10,7 +10,7 @@ absolute value, which truncates the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -127,10 +127,14 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
 class MaximalityReport:
     r: int
     g: int
-    count: int
+    polygons: tuple[HNPolygon, ...] = field(repr=False)
     all_dominated: bool
     oper_polygon_present: bool
     counterexamples: tuple[HNPolygon, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.polygons)
 
     @property
     def unique_maximum(self) -> bool:
@@ -161,7 +165,7 @@ def verify_oper_maximality(
     return MaximalityReport(
         r=r,
         g=g,
-        count=len(polys),
+        polygons=polys,
         all_dominated=not counterexamples,
         oper_polygon_present=top in polys,
         counterexamples=counterexamples,

@@ -1,7 +1,11 @@
 """Cross-formula identities, each checkable on a finite grid.
 
-Every law is expected to pass; `opercalc check-laws` runs all of them and
-reports one line per law.  The grids are sized to finish in seconds.
+Every law is one :class:`Law` row ``(name, cases, holds)``: ``cases()``
+yields the grid as argument tuples, and the law passes when
+``holds(*case)`` is true for every case.  A law fails at its first failing
+case, and a law whose grid yields no case fails too, so no law can pass by
+checking nothing.  `opercalc check-laws` runs :data:`ALL_LAWS` and reports
+one line per law.  The grids are sized to finish in seconds.
 """
 
 from __future__ import annotations
@@ -10,44 +14,23 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, Iterable
 
-from .core import (
-    BundleNumerics,
-    CurveParams,
-    HNPolygon,
-    polygon_from_quotient_data,
-    shatz_leq,
-)
+from .core import BundleNumerics, CurveParams, HNPolygon, polygon_from_quotient_data, shatz_leq
 from .enumeration import (
-    enumerate_admissible,
-    key_inequality_check,
-    verify_oper_maximality,
+    enumerate_admissible, key_inequality_check, verify_oper_maximality,
     verify_target_inequalities,
 )
 from .filtrations import (
-    FiltrationProfile,
-    _partitions,
-    max_score_brute_force,
-    max_score_closed_form,
-    rearrangement_check,
-    sun_gap_term,
-    worst_case_subbundle_slope_bound,
+    FiltrationProfile, _partitions, max_score_brute_force, max_score_closed_form,
+    rearrangement_check, sun_gap_term, worst_case_subbundle_slope_bound,
 )
 from .frobenius import (
-    QuotProblem,
-    hirschowitz_bound,
-    pushforward_numerics,
-    quot_dim_lower_bound,
-    quot_nonempty,
+    QuotProblem, hirschowitz_bound, pushforward_numerics, quot_dim_lower_bound, quot_nonempty,
 )
 from .opers import (
-    OperShape,
-    dormant_sum_identity,
-    frobenius_oper_consistency,
-    oper_polygon,
-    oper_quotient_degrees,
-    oper_space_dimensions,
+    OperShape, dormant_sum_identity, frobenius_oper_consistency, oper_polygon,
+    oper_quotient_degrees, oper_space_dimensions,
 )
 
 
@@ -58,198 +41,122 @@ class LawResult:
     detail: str = ""
 
 
-def law_pushforward_slope_identity() -> LawResult:
-    for p, g, q, d in itertools.product(
-        (2, 3, 5, 7, 11), range(2, 6), (1, 2, 3), range(-4, 5)
-    ):
-        curve = CurveParams(g, p)
-        Q = BundleNumerics(q, d)
-        fq = pushforward_numerics(Q, curve)
-        expected = Q.slope / p + (1 - Fraction(1, p)) * (g - 1)
-        if fq.slope != expected:
-            return LawResult(
-                "pushforward-slope-identity", False, f"fails at p={p} g={g} Q={Q}"
-            )
-    return LawResult("pushforward-slope-identity", True)
+@dataclass(frozen=True)
+class Law:
+    """A named predicate over a finite grid of argument tuples."""
+
+    name: str
+    cases: Callable[[], Iterable[tuple[Any, ...]]]
+    holds: Callable[..., bool]
+
+    def __call__(self) -> LawResult:
+        checked = False
+        for case in self.cases():
+            if not self.holds(*case):
+                return LawResult(self.name, False, f"fails at {case}")
+            checked = True
+        return LawResult(self.name, checked, "" if checked else "no cases checked")
 
 
-def law_oper_polygon_constructions_coincide() -> LawResult:
-    for r, g in itertools.product(range(2, 9), range(2, 6)):
-        shape = OperShape.degree_zero_type_one(r, CurveParams(g, 0))
-        quots = oper_quotient_degrees(shape)
-        built = polygon_from_quotient_data(
-            [b.rank for b in quots], [b.degree for b in quots]
-        )
-        if built != oper_polygon(r, g):
-            return LawResult(
-                "oper-polygon-constructions-coincide", False, f"fails at r={r} g={g}"
-            )
-    return LawResult("oper-polygon-constructions-coincide", True)
+def _rank_genus() -> Iterable[tuple[int, int]]:
+    return itertools.product(range(2, 9), range(2, 6))
 
 
-def law_oper_polygon_symmetry() -> LawResult:
-    for r, g in itertools.product(range(2, 9), range(2, 6)):
-        poly = oper_polygon(r, g)
-        if any(poly.value_at(i) != poly.value_at(r - i) for i in range(r + 1)):
-            return LawResult("oper-polygon-symmetry", False, f"fails at r={r} g={g}")
-    return LawResult("oper-polygon-symmetry", True)
+def _pushforward_slope(p: int, g: int, q: int, d: int) -> bool:
+    fq = pushforward_numerics(BundleNumerics(q, d), CurveParams(g, p))
+    return fq.slope == Fraction(d, q) / p + (1 - Fraction(1, p)) * (g - 1)
 
 
-def law_oper_dimension_identities() -> LawResult:
-    for r, g in itertools.product(range(2, 9), range(2, 6)):
-        a, b = oper_space_dimensions(r, g)
-        if a != b or a != (g - 1) * (r * r - 1):
-            return LawResult("oper-dimension-identities", False, f"fails at r={r} g={g}")
-        if not dormant_sum_identity(r, g):
-            return LawResult(
-                "oper-dimension-identities", False, f"degree sum fails at r={r} g={g}"
-            )
-    return LawResult("oper-dimension-identities", True)
+def _oper_constructions_coincide(r: int, g: int) -> bool:
+    quots = oper_quotient_degrees(OperShape.degree_zero_type_one(r, CurveParams(g, 0)))
+    built = polygon_from_quotient_data([b.rank for b in quots], [b.degree for b in quots])
+    return built == oper_polygon(r, g)
 
 
-def law_frobenius_oper_consistency() -> LawResult:
-    for p, g, q, d in itertools.product(
-        (2, 3, 5, 7), range(2, 5), (1, 2, 3), range(-6, 7)
-    ):
-        if not frobenius_oper_consistency(BundleNumerics(q, d), CurveParams(g, p)):
-            return LawResult(
-                "frobenius-oper-consistency", False, f"fails at p={p} g={g} ({q},{d})"
-            )
-    return LawResult("frobenius-oper-consistency", True)
+def _oper_symmetric(r: int, g: int) -> bool:
+    poly = oper_polygon(r, g)
+    return all(poly.value_at(i) == poly.value_at(r - i) for i in range(r + 1))
 
 
-def law_quot_dimension_consistency() -> LawResult:
+def _oper_dimensions(r: int, g: int) -> bool:
+    dim = (g - 1) * (r * r - 1)
+    return oper_space_dimensions(r, g) == (dim, dim) and dormant_sum_identity(r, g)
+
+
+def _quot_dimension_cases() -> Iterable[tuple[QuotProblem, int]]:
     # the general lower-bound formula reproduces the rank-2 family value 2d
     for g, d in itertools.product(range(2, 6), range(0, 6)):
-        problem = QuotProblem(
-            BundleNumerics(1, -(g - 1) + d), 2, 0, CurveParams(g, 3)
-        )
-        if quot_dim_lower_bound(problem) != 2 * d:
-            return LawResult(
-                "quot-dimension-consistency", False, f"family value fails at g={g} d={d}"
-            )
+        yield QuotProblem(BundleNumerics(1, -(g - 1) + d), 2, 0, CurveParams(g, 3)), 2 * d
     # the canonical problem has expected dimension exactly 0
     for r, g in itertools.product(range(2, 7), range(2, 6)):
-        problem = QuotProblem(
-            BundleNumerics(1, -(r - 1) * (g - 1)), r, 0, CurveParams(g, 11)
-        )
-        if quot_dim_lower_bound(problem) != 0:
-            return LawResult(
-                "quot-dimension-consistency", False, f"canonical value fails at r={r} g={g}"
-            )
-    return LawResult("quot-dimension-consistency", True)
+        yield QuotProblem(BundleNumerics(1, -(r - 1) * (g - 1)), r, 0, CurveParams(g, 11)), 0
 
 
-def law_hirschowitz_congruence() -> LawResult:
-    for n, g in itertools.product(range(2, 11), range(2, 5)):
-        for d, m in itertools.product(range(-6, 7), range(1, n)):
-            eps, _ = hirschowitz_bound(n, d, m, g)
-            if not 0 <= eps <= n - 1:
-                return LawResult(
-                    "hirschowitz-congruence", False, f"eps range fails at n={n} d={d} m={m}"
-                )
-            if (eps + m * (n - m) * (g - 1) - m * d) % n != 0:
-                return LawResult(
-                    "hirschowitz-congruence", False, f"congruence fails at n={n} d={d} m={m}"
-                )
-    return LawResult("hirschowitz-congruence", True)
+def _hirschowitz_congruence(n: int, g: int, d: int, m: int) -> bool:
+    eps, _ = hirschowitz_bound(n, d, m, g)
+    return 0 <= eps <= n - 1 and (eps + m * (n - m) * (g - 1) - m * d) % n == 0
 
 
-def law_quot_nonempty_certificates() -> LawResult:
+def _quot_nonempty_cases() -> Iterable[tuple[int, int, int, int, int]]:
     for q, p, g in itertools.product((1, 2, 3), (3, 5, 7), range(2, 5)):
-        for r in range(q + 1, 3 * q + 1):
-            if not r < p * q:
-                continue
+        for r in range(q + 1, min(3 * q, p * q - 1) + 1):
             lo = -(r - q) * (g - 1)
             for deg in range(lo, lo + 10):
-                cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, 0, CurveParams(g, p)))
-                if not cert.hypothesis_met or cert.slope_lower_bound < 0:
-                    return LawResult(
-                        "quot-nonempty-certificates",
-                        False,
-                        f"fails at q={q} r={r} p={p} g={g} deg={deg}",
-                    )
-    return LawResult("quot-nonempty-certificates", True)
+                yield q, r, p, g, deg
 
 
-def law_score_optimization(max_w: int = 10) -> LawResult:
-    for w in range(1, max_w + 1):
-        for q in range(1, w + 1):
-            best, argmax = max_score_brute_force(w, q)
-            if best != max_score_closed_form(w):
-                return LawResult("score-optimization", False, f"max fails at w={w} q={q}")
-            if argmax != (FiltrationProfile((1,) * w, q),):
-                return LawResult(
-                    "score-optimization", False, f"argmax not all-ones at w={w} q={q}"
-                )
-    return LawResult("score-optimization", True)
+def _quot_certified(q: int, r: int, p: int, g: int, deg: int) -> bool:
+    cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, 0, CurveParams(g, p)))
+    return cert.hypothesis_met and cert.slope_lower_bound >= 0
 
 
-def law_slope_gap_minimum(max_w: int = 6) -> LawResult:
+def _score_optimal(w: int, q: int) -> bool:
+    """The closed form is the maximum and the all-ones profile its only maximizer."""
+    all_ones = FiltrationProfile((1,) * w, q)
+    return max_score_brute_force(w, q) == (max_score_closed_form(w), (all_ones,))
+
+
+def _slope_gap_minimum(q: int, w: int, p: int, g: int) -> bool:
     """Minimizing the gap term over all profiles of a given weight recovers
     the closed-form worst-case subbundle slope bound exactly."""
-    for q, w, p, g in itertools.product((1, 2, 3), range(1, max_w + 1), (5, 7), (2, 3)):
-        curve = CurveParams(g, p)
-        Q = BundleNumerics(q, -1)
-        gaps = [sun_gap_term(parts, g, p) for parts in _partitions(w, q)]
-        lhs = pushforward_numerics(Q, curve).slope - min(gaps)
-        if lhs != worst_case_subbundle_slope_bound(Q, w, curve):
-            return LawResult(
-                "slope-gap-minimum", False, f"fails at q={q} w={w} p={p} g={g}"
-            )
-    return LawResult("slope-gap-minimum", True)
+    curve = CurveParams(g, p)
+    Q = BundleNumerics(q, -1)
+    gap = min(sun_gap_term(parts, g, p) for parts in _partitions(w, q))
+    bound = worst_case_subbundle_slope_bound(Q, w, curve)
+    return pushforward_numerics(Q, curve).slope - gap == bound
 
 
-def law_rearrangement(samples: int = 300) -> LawResult:
+def _random_profiles() -> Iterable[tuple[FiltrationProfile]]:
     rng = random.Random(20230817)
-    for _ in range(samples):
+    for _ in range(300):
         q = rng.randint(1, 5)
         length = rng.randint(1, 6)
         parts = tuple(sorted((rng.randint(1, q) for _ in range(length)), reverse=True))
-        if not rearrangement_check(FiltrationProfile(parts, q)):
-            return LawResult("rearrangement-inequality", False, f"fails at {parts}")
-    return LawResult("rearrangement-inequality", True)
+        yield (FiltrationProfile(parts, q),)
 
 
-def law_key_inequality(max_l: int = 5, max_m: int = 3) -> LawResult:
-    for l in range(2, max_l + 1):
-        for m_values in itertools.product(range(max_m + 1), repeat=l - 1):
-            if not key_inequality_check(l, m_values):
-                return LawResult("key-inequality", False, f"fails at l={l} m={m_values}")
-    return LawResult("key-inequality", True)
-
-
-def law_target_inequality_equivalence() -> LawResult:
+def _target_inequality_cases() -> Iterable[tuple[HNPolygon, int, HNPolygon]]:
     for r, g in itertools.product(range(2, 5), (2, 3)):
         top = oper_polygon(r, g)
         for poly in enumerate_admissible(r, g):
-            if verify_target_inequalities(poly, g) != shatz_leq(poly, top):
-                return LawResult(
-                    "target-inequality-equivalence", False, f"fails at r={r} g={g} {poly}"
-                )
-    return LawResult("target-inequality-equivalence", True)
+            yield poly, g, top
 
 
-def law_oper_maximality_small() -> LawResult:
-    for r, g in itertools.product(range(2, 5), (2, 3)):
-        report = verify_oper_maximality(r, g)
-        if not report.passed:
-            return LawResult("oper-maximality", False, f"fails at r={r} g={g}")
-    return LawResult("oper-maximality", True)
-
-
-def law_shatz_poset_laws(samples: int = 200) -> LawResult:
+def _random_triples() -> Iterable[tuple[HNPolygon, HNPolygon, HNPolygon]]:
     rng = random.Random(20230818)
-    polys = [random_polygon(rng, 6) for _ in range(samples)]
-    for _ in range(samples):
-        a, b, c = rng.choice(polys), rng.choice(polys), rng.choice(polys)
-        if not shatz_leq(a, a):
-            return LawResult("shatz-poset-laws", False, "reflexivity fails")
-        if shatz_leq(a, b) and shatz_leq(b, a) and a != b:
-            return LawResult("shatz-poset-laws", False, "antisymmetry fails")
-        if shatz_leq(a, b) and shatz_leq(b, c) and not shatz_leq(a, c):
-            return LawResult("shatz-poset-laws", False, "transitivity fails")
-    return LawResult("shatz-poset-laws", True)
+    polys = [random_polygon(rng, 6) for _ in range(200)]
+    for _ in range(200):
+        yield rng.choice(polys), rng.choice(polys), rng.choice(polys)
+
+
+def _poset_laws(a: HNPolygon, b: HNPolygon, c: HNPolygon) -> bool:
+    """Reflexivity, antisymmetry and transitivity of the Shatz order."""
+    ab = shatz_leq(a, b)
+    return (
+        shatz_leq(a, a)
+        and not (ab and shatz_leq(b, a) and a != b)
+        and not (ab and shatz_leq(b, c) and not shatz_leq(a, c))
+    )
 
 
 def random_polygon(rng: random.Random, rank: int, height: int = 8) -> HNPolygon:
@@ -278,21 +185,62 @@ def random_polygon(rng: random.Random, rank: int, height: int = 8) -> HNPolygon:
 
 
 ALL_LAWS: tuple[Callable[[], LawResult], ...] = (
-    law_pushforward_slope_identity,
-    law_oper_polygon_constructions_coincide,
-    law_oper_polygon_symmetry,
-    law_oper_dimension_identities,
-    law_frobenius_oper_consistency,
-    law_quot_dimension_consistency,
-    law_hirschowitz_congruence,
-    law_quot_nonempty_certificates,
-    law_score_optimization,
-    law_slope_gap_minimum,
-    law_rearrangement,
-    law_key_inequality,
-    law_target_inequality_equivalence,
-    law_oper_maximality_small,
-    law_shatz_poset_laws,
+    Law(
+        "pushforward-slope-identity",
+        lambda: itertools.product((2, 3, 5, 7, 11), range(2, 6), (1, 2, 3), range(-4, 5)),
+        _pushforward_slope,
+    ),
+    Law("oper-polygon-constructions-coincide", _rank_genus, _oper_constructions_coincide),
+    Law("oper-polygon-symmetry", _rank_genus, _oper_symmetric),
+    Law("oper-dimension-identities", _rank_genus, _oper_dimensions),
+    Law(
+        "frobenius-oper-consistency",
+        lambda: itertools.product((2, 3, 5, 7), range(2, 5), (1, 2, 3), range(-6, 7)),
+        lambda p, g, q, d: frobenius_oper_consistency(BundleNumerics(q, d), CurveParams(g, p)),
+    ),
+    Law(
+        "quot-dimension-consistency",
+        _quot_dimension_cases,
+        lambda problem, dim: quot_dim_lower_bound(problem) == dim,
+    ),
+    Law(
+        "hirschowitz-congruence",
+        lambda: (
+            (n, g, d, m) for n, g in itertools.product(range(2, 11), range(2, 5))
+            for d, m in itertools.product(range(-6, 7), range(1, n))
+        ),
+        _hirschowitz_congruence,
+    ),
+    Law("quot-nonempty-certificates", _quot_nonempty_cases, _quot_certified),
+    Law(
+        "score-optimization",
+        lambda: ((w, q) for w in range(1, 11) for q in range(1, w + 1)),
+        _score_optimal,
+    ),
+    Law(
+        "slope-gap-minimum",
+        lambda: itertools.product((1, 2, 3), range(1, 7), (5, 7), (2, 3)),
+        _slope_gap_minimum,
+    ),
+    Law("rearrangement-inequality", _random_profiles, rearrangement_check),
+    Law(
+        "key-inequality",
+        lambda: (
+            (l, m) for l in range(2, 6) for m in itertools.product(range(4), repeat=l - 1)
+        ),
+        key_inequality_check,
+    ),
+    Law(
+        "target-inequality-equivalence",
+        _target_inequality_cases,
+        lambda poly, g, top: verify_target_inequalities(poly, g) == shatz_leq(poly, top),
+    ),
+    Law(
+        "oper-maximality",
+        lambda: itertools.product(range(2, 5), (2, 3)),
+        lambda r, g: verify_oper_maximality(r, g).passed,
+    ),
+    Law("shatz-poset-laws", _random_triples, _poset_laws),
 )
 
 

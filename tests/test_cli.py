@@ -6,6 +6,8 @@ import pytest
 
 from opercalc import HNPolygon, enumerate_admissible
 from opercalc.cli import run
+from opercalc import laws
+from opercalc.laws import ALL_LAWS, Law
 
 
 @pytest.fixture()
@@ -156,5 +158,15 @@ class TestUsageErrors:
     def test_check_laws_passes(self, capture):
         code, out, _ = capture("check-laws")
         assert code == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 10
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert rows == [[law.name, "PASS"] for law in ALL_LAWS]
+
+    def test_check_laws_fails_a_law_with_no_cases(self, capture, monkeypatch):
+        vacuous = Law("vacuous", lambda: (), lambda: True)
+        monkeypatch.setattr(laws, "ALL_LAWS", (ALL_LAWS[0], vacuous))
+        code, out, _ = capture("check-laws", "--format", "csv")
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            f"{ALL_LAWS[0].name},PASS,",
+            "vacuous,FAIL,no cases checked",
+        ]

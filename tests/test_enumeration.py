@@ -89,6 +89,12 @@ class TestVerifyOperMaximality:
         assert report.passed
         assert not report.counterexamples
 
+    @pytest.mark.parametrize("r, g", [(3, 2), (5, 2), (4, 3)])
+    def test_report_keeps_the_polygons_it_checked(self, r, g):
+        report = verify_oper_maximality(r, g)
+        assert report.polygons == enumerate_admissible(r, g)
+        assert report.count == len(report.polygons)
+
     @pytest.mark.parametrize(
         "r, g", [(r, 2) for r in range(2, 6)] + [(r, 3) for r in range(2, 5)]
     )
