@@ -30,7 +30,7 @@ def main() -> int:
     for r in range(2, args.max_rank + 1):
         for g in range(2, args.max_genus + 1):
             start = time.monotonic()
-            report = verify_oper_maximality(r, g, max_rank=args.max_rank)
+            report = verify_oper_maximality(r, g)
             elapsed = time.monotonic() - start
             status = "ok" if report.passed else "FAILED"
             print(

@@ -26,11 +26,7 @@ from .core import (
     shatz_leq,
     strata_poset,
 )
-from .enumeration import (
-    DEFAULT_MAX_RANK,
-    enumerate_admissible,
-    verify_oper_maximality,
-)
+from .enumeration import enumerate_admissible, verify_oper_maximality
 from .filtrations import (
     FiltrationProfile,
     max_score_brute_force,
@@ -217,15 +213,8 @@ def cmd_sun_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.rank > DEFAULT_MAX_RANK:
-        gap = 2 * args.genus - 2
-        estimate = ((args.rank - 1) * gap + 1) ** (args.rank - 1)
-        print(
-            f"estimated search-space size: about {estimate} degree vectors",
-            file=sys.stderr,
-        )
     if args.verify:
-        report = verify_oper_maximality(args.rank, args.genus, max_rank=args.max_rank)
+        report = verify_oper_maximality(args.rank, args.genus)
         emit(
             args.format,
             {
@@ -242,7 +231,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
               report.unique_maximum, report.passed]],
         )
         return 0 if report.passed else VERIFICATION_FAILURE
-    polys = enumerate_admissible(args.rank, args.genus, max_rank=args.max_rank)
+    polys = enumerate_admissible(args.rank, args.genus)
     top = oper_polygon(args.rank, args.genus)
     emit(
         args.format,
@@ -254,7 +243,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
-    polys = enumerate_admissible(args.rank, args.genus, max_rank=args.max_rank)
+    polys = enumerate_admissible(args.rank, args.genus)
     if len(polys) > STRATA_MAX_ELEMENTS:
         raise ValueError(
             f"strata at rank {args.rank} genus {args.genus} has {len(polys)} "
@@ -279,11 +268,22 @@ def cmd_strata(args: argparse.Namespace) -> int:
 
 def cmd_dims(args: argparse.Namespace) -> int:
     if args.config:
-        with open(args.config) as fh:
-            sweep = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                sweep = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from None
+        if not isinstance(sweep, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
         ranks = sweep.get("rank", [args.rank] if args.rank else [])
         genera = sweep.get("genus", [args.genus] if args.genus else [])
         chars = sweep.get("char", [None])
+        for key, values in (("rank", ranks), ("genus", genera), ("char", chars)):
+            if not (isinstance(values, list) and values and all(
+                isinstance(v, int) or (key == "char" and v is None) for v in values
+            )):
+                raise ValueError(f"config {args.config} needs a non-empty list of "
+                                 f"integers for {key!r}")
         header = ["rank", "genus", "char", "threshold_C", "oper_space_dim",
                   "destabilized_locus_dim", "quot_expected", "oper_quot_degree",
                   "char_exceeds_threshold"]
@@ -403,14 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--verify", action="store_true",
                     help="check dominance by the oper polygon; exit 1 on failure")
-    sp.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("strata", parents=[common],
                         help="Hasse diagram of the admissible polygons")
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     sp.set_defaults(func=cmd_strata)
 
     sp = sub.add_parser("dims", parents=[common],

@@ -168,9 +168,9 @@ class HNPolygon:
         return cls(tuple((int(r), int(d)) for r, d in obj["breakpoints"]))
 
     @classmethod
-    def trivial(cls, rank: int, degree: int = 0) -> "HNPolygon":
-        """The semistable polygon: a single segment to (rank, degree)."""
-        return cls(((0, 0), (rank, degree)))
+    def trivial(cls, rank: int) -> "HNPolygon":
+        """The semistable degree-0 polygon: a single segment to (rank, 0)."""
+        return cls(((0, 0), (rank, 0)))
 
 
 def polygon_from_quotient_data(

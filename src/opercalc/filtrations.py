@@ -109,17 +109,14 @@ def sun_gap_term(parts: tuple[int, ...], g: int, p: int) -> Fraction:
     return Fraction(2 * (g - 1), p * w) * total
 
 
-def sun_bound(
-    profile: FiltrationProfile, curve: CurveParams, enforce_length: bool = True
-) -> Fraction:
+def sun_bound(profile: FiltrationProfile, curve: CurveParams) -> Fraction:
     """Guaranteed gap between the pushforward slope and the slope of a
     subbundle inducing this profile.
 
-    With ``enforce_length`` (the default) the profile may not be longer
-    than the canonical flag, i.e. m <= p - 1.
+    The profile may not be longer than the canonical flag, i.e. m <= p - 1.
     """
     p = curve.require_positive_char()
-    if enforce_length and profile.m >= p:
+    if profile.m >= p:
         raise ValueError(
             f"profile has {profile.m + 1} parts, longer than the canonical flag ({p})"
         )
@@ -157,15 +154,11 @@ def oper_subbundle_slope_bound(
     return OperSlopeBound(bound, bound <= target)
 
 
-def rearrangement_check(profile: FiltrationProfile, m: int | None = None) -> bool:
+def rearrangement_check(profile: FiltrationProfile) -> bool:
     """sum over i <= m/2 of (m - 2i)(r_i - r_{m-i}) is >= 0.
 
     Always true for weakly decreasing profiles; exposed as a law.
     """
-    if m is None:
-        m = profile.m
-    elif m != profile.m:
-        raise ValueError(f"profile has {profile.m + 1} parts, expected {m + 1}")
-    r = profile.parts
+    m, r = profile.m, profile.parts
     total = sum((m - 2 * i) * (r[i] - r[m - i]) for i in range(m // 2 + 1))
     return total >= 0

@@ -159,11 +159,11 @@ def _poset_laws(a: HNPolygon, b: HNPolygon, c: HNPolygon) -> bool:
     )
 
 
-def random_polygon(rng: random.Random, rank: int, height: int = 8) -> HNPolygon:
+def random_polygon(rng: random.Random, rank: int) -> HNPolygon:
     """Random degree-0 polygon of the given rank, built by canonicalizing a
-    random concave integer profile (collinear points merged)."""
+    random concave integer profile, drops in -8..8 (collinear points merged)."""
     while True:
-        drops = sorted((rng.randint(-height, height) for _ in range(rank)), reverse=True)
+        drops = sorted((rng.randint(-8, 8) for _ in range(rank)), reverse=True)
         shift = sum(drops)
         # force total degree 0 by re-centering, preserving weak decrease
         if shift % rank != 0:
@@ -184,7 +184,7 @@ def random_polygon(rng: random.Random, rank: int, height: int = 8) -> HNPolygon:
         return HNPolygon(tuple(keep))
 
 
-ALL_LAWS: tuple[Callable[[], LawResult], ...] = (
+ALL_LAWS: tuple[Law, ...] = (
     Law(
         "pushforward-slope-identity",
         lambda: itertools.product((2, 3, 5, 7, 11), range(2, 6), (1, 2, 3), range(-4, 5)),

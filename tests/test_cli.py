@@ -135,6 +135,22 @@ class TestEnumerateCommand:
         assert out == ""
         assert "5 polygons, above the limit of 4" in err
 
+    @pytest.mark.parametrize("extra", [
+        ("enumerate",), ("enumerate", "--verify"), ("strata",),
+    ])
+    def test_refuses_past_the_polygon_limit(self, capture, monkeypatch, extra):
+        monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)
+        code, out, err = capture(*extra, "--rank", "3", "--genus", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "MAX_POLYGONS = 4" in err
+
+    @pytest.mark.parametrize("command", ["enumerate", "strata"])
+    def test_max_rank_option_is_gone(self, capture, command):
+        code, out, _ = capture(command, "--rank", "9", "--genus", "2", "--max-rank", "9")
+        assert code == 2
+        assert out == ""
+
 
 class TestSweepConfig:
     def test_dims_config_produces_csv_rows(self, capture, tmp_path):
@@ -144,6 +160,25 @@ class TestSweepConfig:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 4  # header + one row per combination
+
+    def test_missing_config_is_usage_error(self, capture, tmp_path):
+        code, out, err = capture("dims", "--config", str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sweep, field", [
+        ([2], "JSON object"),
+        ({"rank": 3, "genus": [2]}, "'rank'"),
+        ({"genus": [2]}, "'rank'"),
+        ({"rank": [2]}, "'genus'"),
+    ])
+    def test_malformed_config_is_usage_error(self, capture, tmp_path, sweep, field):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(sweep))
+        code, out, err = capture("dims", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
 
 class TestUsageErrors:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from opercalc import enumeration
 from opercalc import (
     HNPolygon,
     enumerate_admissible,
@@ -47,10 +48,47 @@ class TestEnumerateAdmissible:
         polys = enumerate_admissible(r, g)
         assert list(polys) == sorted(set(polys), key=lambda p: p.breakpoints)
 
-    def test_rank_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_admissible(9, 2)
-        assert enumerate_admissible(9, 2, max_rank=9)
+    def test_limit_accepts_exactly_max_polygons(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "MAX_POLYGONS", 5)
+        assert len(enumerate_admissible(3, 2)) == 5
+
+    def test_limit_refuses_one_polygon_more(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "MAX_POLYGONS", 4)
+        with pytest.raises(ValueError, match="rank 3 genus 2 .*MAX_POLYGONS = 4"):
+            enumerate_admissible(3, 2)
+
+    def test_counts_at_ranks_nine_and_ten(self):
+        # both counts agree with enumerate_admissible_slow, which takes about
+        # 3 s and 16 s at these ranks and so is not rerun here
+        assert len(enumerate_admissible(9, 2)) == 4513
+        report = verify_oper_maximality(10, 2)
+        assert report.passed
+        assert report.count == 15126
+
+    @pytest.mark.parametrize("r", range(2, 11))
+    def test_symmetric_unit_family_bounds_the_count(self, r):
+        # unit segments, integer slopes s_i = -s_{r+1-i} falling by 1 or 2:
+        # the family behind the refusal of large ranks before the search
+        k, odd = divmod(r, 2)
+        halves = [(1,), (2,)] if odd else [(1,)]  # s_k, above the middle
+        for _ in range(k - 1):
+            halves = [(h[0] + step,) + h for h in halves for step in (1, 2)]
+        family = set()
+        for half in halves:
+            slopes = half + (0,) * odd + tuple(-s for s in reversed(half))
+            ys = itertools.accumulate(slopes, initial=0)
+            family.add(HNPolygon(tuple(enumerate(ys))))
+        assert len(family) == 2 ** (k - 1 + odd)
+        assert family <= set(enumerate_admissible(r, 2))
+
+    def test_refuses_large_ranks_before_searching(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(enumeration, "_complete", no_search)
+        for r in (38, 10**9):
+            with pytest.raises(ValueError, match="MAX_POLYGONS = 250000"):
+                enumerate_admissible(r, 2)
 
     def test_gap_constraints_hold(self):
         gap = 2 * 3 - 2

@@ -180,10 +180,6 @@ class TestRearrangementCheck:
         assert rearrangement_check(FiltrationProfile((3, 2, 1), 3))
         assert rearrangement_check(FiltrationProfile((2, 1), 2))
 
-    def test_explicit_length_must_match(self):
-        with pytest.raises(ValueError):
-            rearrangement_check(FiltrationProfile((2, 1), 2), m=2)
-
     @given(profiles)
     def test_always_true_for_weakly_decreasing(self, profile):
         assert rearrangement_check(profile)
