@@ -46,9 +46,10 @@ from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
-# strata compares every pair of elements: the 5767 of r=7 g=3 take about 50 s,
-# the 29 427 of r=8 g=3 would take about 25 minutes.
-STRATA_MAX_ELEMENTS = 6000
+# strata holds one n-bit dominance set per element, n² bits in all: about
+# 110 MB at this limit.  It admits r=8 g=3 (29 427 polygons) and refuses
+# r=7 g=4 (34 575).
+STRATA_MAX_ELEMENTS = 30_000
 
 
 def _style_header(text: str) -> str:
@@ -67,14 +68,11 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _jsonable(value: Any) -> Any:
+def _json_default(value: Any) -> Any:
+    """What the JSON encoder writes for a value it has no rule for."""
     if isinstance(value, Fraction):
         return rational_to_json(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def emit(fmt: str, json_obj: Any, header: list[str], rows: Iterable[list[Any]]) -> None:
@@ -85,7 +83,7 @@ def emit(fmt: str, json_obj: Any, header: list[str], rows: Iterable[list[Any]]) 
     generator passed there costs nothing on that path.
     """
     if fmt == "json":
-        print(json.dumps(_jsonable(json_obj), sort_keys=True))
+        print(json.dumps(json_obj, sort_keys=True, default=_json_default))
         return
     str_rows = [[_cell(v) for v in row] for row in rows]
     if fmt == "csv":
@@ -247,8 +245,9 @@ def cmd_strata(args: argparse.Namespace) -> int:
     if len(polys) > STRATA_MAX_ELEMENTS:
         raise ValueError(
             f"strata at rank {args.rank} genus {args.genus} has {len(polys)} "
-            f"polygons, above the limit of {STRATA_MAX_ELEMENTS}; it compares "
-            "every pair, so its time grows with the square of that count"
+            f"polygons, above the limit of {STRATA_MAX_ELEMENTS}; its dominance "
+            f"sets would take {len(polys)}² bits ({len(polys) ** 2 // 8_000_000} MB) "
+            "of memory"
         )
     poset = strata_poset(polys)
     elements = [_breakpoints_cell(p) for p in poset.elements]

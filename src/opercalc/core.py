@@ -1,18 +1,23 @@
 """Exact polygon arithmetic: bundle numerics, convex HN polygons, dominance order.
 
 Everything here is a pure value computed with :class:`fractions.Fraction`;
-no floating point is used anywhere in the package.  The dominance order
-(:func:`shatz_leq`, :func:`strata_poset`) is decided on the integer
-breakpoints by cross-multiplication, without building a ``Fraction``;
-:meth:`HNPolygon.value_at` and the rest of the public API still return
-``Fraction`` values.
+no floating point is used anywhere in the package, and polygon breakpoints
+must be integers.  The dominance order is decided in integers, without
+building a ``Fraction``: :func:`shatz_leq` tests one polygon's breakpoints
+against the other by cross-multiplication, and :func:`strata_poset` compares
+values at x = 1 .. r-1 scaled by lcm(1, ..., r), one Python-int bitset of
+dominating elements per polygon.  :meth:`HNPolygon.value_at` and the rest of
+the public API still return ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, groupby
+from math import lcm
+from operator import index
+from typing import Iterable, Sequence
 
 
 def _is_prime(n: int) -> bool:
@@ -101,7 +106,12 @@ class HNPolygon:
     breakpoints: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((int(r), int(d)) for r, d in self.breakpoints)
+        try:
+            pts = tuple((index(r), index(d)) for r, d in self.breakpoints)
+        except TypeError:
+            raise ValueError(
+                f"breakpoints must be integer pairs, got {self.breakpoints}"
+            ) from None
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2:
             raise ValueError("polygon needs at least two breakpoints")
@@ -257,7 +267,19 @@ class PosetDescription:
 
 
 def strata_poset(polygons: Iterable[HNPolygon]) -> PosetDescription:
-    """Cover relations of a finite set of polygons under :func:`shatz_leq`."""
+    """Cover relations of a finite set of polygons under :func:`shatz_leq`.
+
+    Polygons with integer breakpoints and a common endpoint ``(r, d)`` are
+    linear between consecutive integers, so ``a <= b`` iff ``a(x) <= b(x)``
+    at ``x = 1 .. r-1``: the componentwise order on the vectors of
+    :func:`_scaled_values`.  For each ``x`` one sort by value gives the sets
+    "value at least v", and ``above[i]`` is their AND over all ``x``, in the
+    coordinate-wise manner of Kung, Luccio and Preparata, "On finding the
+    maxima of a set of vectors" (J. ACM 1975).  Bits are positions in
+    increasing area, a linear extension (a polygon strictly below another
+    has strictly smaller area), so the lowest bit above ``i`` that no cover
+    found so far lies below is the next cover of ``i``.
+    """
     elements = tuple(sorted(set(polygons), key=lambda p: p.breakpoints))
     if not elements:
         return PosetDescription((), ())
@@ -265,28 +287,41 @@ def strata_poset(polygons: Iterable[HNPolygon]) -> PosetDescription:
     for p in elements:
         if p.endpoint != endpoint:
             raise ValueError("all polygons must share the same endpoints")
-    # above[i] has bit j set iff elements[j] lies strictly above elements[i];
-    # the order is transitive, so j covers i iff no k above i has j above it
-    # (Aho, Garey and Ullman, "The transitive reduction of a directed graph").
-    above = []
-    for i, a in enumerate(elements):
-        bits = 0
-        for j, b in enumerate(elements):
-            if j != i and _below(a, b):
-                bits |= 1 << j
-        above.append(bits)
-    covers = []
-    for i, bits in enumerate(above):
-        reach = 0
-        for k in _set_bits(bits):
-            reach |= above[k]
-        covers.extend((i, j) for j in _set_bits(bits & ~reach))
-    return PosetDescription(elements, tuple(covers))
+    n = len(elements)
+    scale = lcm(*range(1, endpoint[0] + 1))
+    vectors = [_scaled_values(p, scale) for p in elements]
+    order = sorted(range(n), key=lambda i: sum(vectors[i]))  # position -> index
+    # above[q] has bit t set iff the polygon at position t is on or above the
+    # one at position q: at every x, its value is at least as large.
+    above = [(1 << n) - 1] * n
+    for column in zip(*(vectors[i] for i in order)):
+        at_least = 0
+        ranked = sorted(range(n), key=column.__getitem__, reverse=True)
+        for _, group in groupby(ranked, key=column.__getitem__):
+            members = list(group)
+            for q in members:
+                at_least |= 1 << q
+            for q in members:
+                above[q] &= at_least
+    covers_of: list[list[int]] = [[] for _ in elements]
+    for q, i in enumerate(order):
+        rem = above[q] & ~(1 << q)
+        while rem:
+            low = rem & -rem
+            k = low.bit_length() - 1
+            covers_of[i].append(order[k])
+            rem &= ~(above[k] | low)  # low too, so the loop ends whatever above[k] holds
+    covers = tuple((i, j) for i, js in enumerate(covers_of) for j in sorted(js))
+    return PosetDescription(elements, covers)
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask >= 0``, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _scaled_values(poly: HNPolygon, scale: int) -> tuple[int, ...]:
+    """``scale * poly(x)`` at ``x = 1 .. r-1``, as running sums of unit rises.
+
+    ``scale`` must be a multiple of every segment width, as
+    ``lcm(1, ..., r)`` is, so that every rise is an integer.
+    """
+    rises: list[int] = []
+    for (r0, d0), (r1, d1) in zip(poly.breakpoints, poly.breakpoints[1:]):
+        rises += [(d1 - d0) * (scale // (r1 - r0))] * (r1 - r0)
+    return tuple(accumulate(rises[:-1]))

@@ -10,10 +10,12 @@ from opercalc import (
     HNPolygon,
     PosetDescription,
     enumerate_admissible,
+    oper_polygon,
     polygon_from_quotient_data,
     shatz_leq,
     strata_poset,
 )
+from opercalc.core import _below
 
 
 def reference_shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:
@@ -34,6 +36,44 @@ def reference_strata_poset(polygons) -> PosetDescription:
         and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
     ]
     return PosetDescription(elements, tuple(covers))
+
+
+def pair_matrix_strata_poset(polygons) -> PosetDescription:
+    """Covers from the n(n-1) ordered ``_below`` pairs, reduced by bitsets.
+
+    ``above[i]`` has bit j set iff elements[j] lies strictly above
+    elements[i]; the order is transitive, so j covers i iff no k above i has
+    j above it (Aho, Garey and Ullman, "The transitive reduction of a
+    directed graph").
+    """
+    elements = tuple(sorted(set(polygons), key=lambda p: p.breakpoints))
+    above = []
+    for i, a in enumerate(elements):
+        bits = 0
+        for j, b in enumerate(elements):
+            if j != i and _below(a, b):
+                bits |= 1 << j
+        above.append(bits)
+    covers = []
+    for i, bits in enumerate(above):
+        reach = 0
+        for k in _set_bits(bits):
+            reach |= above[k]
+        covers.extend((i, j) for j in _set_bits(bits & ~reach))
+    return PosetDescription(elements, tuple(covers))
+
+
+def _set_bits(mask: int):
+    """Positions of the set bits of ``mask >= 0``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def sheared(poly: HNPolygon, k: int) -> HNPolygon:
+    """``poly`` mapped through ``y -> y + k*x``; it ends at ``(r, d + k*r)``."""
+    return HNPolygon(tuple((x, y + k * x) for x, y in poly.breakpoints))
 
 
 def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
@@ -105,6 +145,16 @@ class TestHNPolygon:
     def test_rejects_nondecreasing_ranks(self):
         with pytest.raises(ValueError):
             HNPolygon(((0, 0), (2, 1), (1, 2)))
+
+    def test_rejects_fraction_breakpoint(self):
+        with pytest.raises(ValueError, match="integer pairs"):
+            HNPolygon(((0, 0), (Fraction(3, 2), 1), (3, 0)))
+
+    def test_rejects_float_breakpoint(self):
+        with pytest.raises(ValueError, match="integer pairs"):
+            HNPolygon(((0, 0), (1, 1.0), (3, 0)))
+        with pytest.raises(ValueError, match="integer pairs"):
+            HNPolygon(((0, 0), (1.9, 1), (3, 0)))
 
     def test_value_at_interpolates_exactly(self):
         poly = HNPolygon(((0, 0), (1, 1), (3, 0)))
@@ -229,3 +279,34 @@ class TestStrataPoset:
     def test_matches_cubic_reference(self, r, g):
         polys = enumerate_admissible(r, g)
         assert strata_poset(polys) == reference_strata_poset(polys)
+
+    @pytest.mark.parametrize(
+        "r, g",
+        [(r, 2) for r in range(2, 7)] + [(r, 3) for r in range(2, 6)] + [(4, 4)],
+    )
+    def test_matches_pair_matrix_oracle(self, r, g):
+        polys = enumerate_admissible(r, g)
+        assert strata_poset(polys) == pair_matrix_strata_poset(polys)
+
+    @given(
+        st.lists(concave_polygons(5), min_size=1, max_size=16),
+        st.integers(min_value=-2, max_value=2),
+    )
+    def test_shear_leaves_covers_unchanged(self, polys, k):
+        poset = strata_poset(polys)
+        moved = strata_poset(sheared(p, k) for p in polys)
+        assert moved.elements == tuple(sheared(p, k) for p in poset.elements)
+        assert moved.covers == poset.covers
+        assert moved == pair_matrix_strata_poset(moved.elements)
+
+    def test_rank_7_genus_3(self):
+        poset = strata_poset(enumerate_admissible(7, 3))
+        assert len(poset.elements) == 5767
+        assert len(poset.covers) == 18623
+        for i, j in poset.covers:
+            lower, upper = poset.elements[i], poset.elements[j]
+            assert lower != upper and shatz_leq(lower, upper)
+        (top,) = poset.maximal_indices()
+        assert poset.elements[top] == oper_polygon(7, 3)
+        (bottom,) = poset.minimal_indices()
+        assert poset.elements[bottom] == HNPolygon.trivial(7)
