@@ -4,18 +4,21 @@ Every subcommand supports --format json|csv|table (default table).
 Rationals print as "a/b" in tables and CSV and as {"num", "den"} decimal
 strings in JSON; never as decimals.  Exit codes: 0 success, 1 verification
 failure (counterexample found), 2 usage error.
+
+Only what ``enumerate`` and ``strata`` run is imported at module level; the
+other subcommands import their modules (frobenius, filtrations, laws) in
+their own bodies, so a process starts up paying only for its command.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .core import (
     BundleNumerics,
@@ -27,21 +30,6 @@ from .core import (
     strata_poset,
 )
 from .enumeration import enumerate_admissible, verify_oper_maximality
-from .filtrations import (
-    FiltrationProfile,
-    max_score_brute_force,
-    max_score_closed_form,
-    sun_bound,
-)
-from .frobenius import (
-    QuotProblem,
-    expected_dimensions,
-    hirschowitz_bound,
-    pushforward_numerics,
-    quot_dim_lower_bound,
-    quot_nonempty,
-)
-from .laws import run_all_laws
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
@@ -87,6 +75,8 @@ def emit(fmt: str, json_obj: Any, header: list[str], rows: Iterable[list[Any]]) 
         return
     str_rows = [[_cell(v) for v in row] for row in rows]
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -119,6 +109,8 @@ def cmd_oper_polygon(args: argparse.Namespace) -> int:
 
 
 def cmd_pushforward(args: argparse.Namespace) -> int:
+    from .frobenius import pushforward_numerics
+
     curve = CurveParams(args.genus, args.char)
     fq = pushforward_numerics(BundleNumerics(args.rank, args.degree), curve)
     emit(
@@ -131,6 +123,8 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
 
 
 def cmd_hirschowitz(args: argparse.Namespace) -> int:
+    from .frobenius import hirschowitz_bound
+
     eps, bound = hirschowitz_bound(args.n, args.d, args.m, args.genus)
     emit(
         args.format,
@@ -142,6 +136,8 @@ def cmd_hirschowitz(args: argparse.Namespace) -> int:
 
 
 def cmd_quot(args: argparse.Namespace) -> int:
+    from .frobenius import QuotProblem, quot_dim_lower_bound, quot_nonempty
+
     curve = CurveParams(args.genus, args.char)
     problem = QuotProblem(
         BundleNumerics(args.q_rank, args.q_degree), args.rank, 0, curve
@@ -164,6 +160,8 @@ def cmd_quot(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .filtrations import max_score_brute_force, max_score_closed_form
+
     closed = max_score_closed_form(args.weight)
     if not args.oracle:
         emit(
@@ -193,6 +191,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_sun_bound(args: argparse.Namespace) -> int:
+    from .filtrations import FiltrationProfile, sun_bound
+
     parts = tuple(int(x) for x in args.profile.split(","))
     cap = args.cap if args.cap is not None else (parts[0] if parts else 1)
     profile = FiltrationProfile(parts, cap)
@@ -230,12 +230,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
         return 0 if report.passed else VERIFICATION_FAILURE
     polys = enumerate_admissible(args.rank, args.genus)
-    top = oper_polygon(args.rank, args.genus)
+
+    def rows() -> Iterator[list[str]]:
+        # Runs only when csv or table output reads the rows, not for json.
+        top = oper_polygon(args.rank, args.genus)
+        for p in polys:
+            yield [_breakpoints_cell(p), str(p == top), str(shatz_leq(p, top))]
+
     emit(
         args.format,
         [p.to_json() for p in polys],
         ["breakpoints", "is_oper", "dominated_by_oper"],
-        ([_breakpoints_cell(p), str(p == top), str(shatz_leq(p, top))] for p in polys),
+        rows(),
     )
     return 0
 
@@ -266,6 +272,8 @@ def cmd_strata(args: argparse.Namespace) -> int:
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
+    from .frobenius import expected_dimensions
+
     if args.config:
         try:
             with open(args.config) as fh:
@@ -279,7 +287,9 @@ def cmd_dims(args: argparse.Namespace) -> int:
         chars = sweep.get("char", [None])
         for key, values in (("rank", ranks), ("genus", genera), ("char", chars)):
             if not (isinstance(values, list) and values and all(
-                isinstance(v, int) or (key == "char" and v is None) for v in values
+                (isinstance(v, int) and not isinstance(v, bool))
+                or (key == "char" and v is None)
+                for v in values
             )):
                 raise ValueError(f"config {args.config} needs a non-empty list of "
                                  f"integers for {key!r}")
@@ -323,6 +333,8 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_check_laws(args: argparse.Namespace) -> int:
+    from .laws import run_all_laws
+
     results = run_all_laws()
     rows = [[res.name, "PASS" if res.passed else "FAIL", res.detail] for res in results]
     emit(

@@ -175,7 +175,7 @@ class HNPolygon:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HNPolygon":
-        return cls(tuple((int(r), int(d)) for r, d in obj["breakpoints"]))
+        return cls(tuple(obj["breakpoints"]))  # the constructor checks the pairs
 
     @classmethod
     def trivial(cls, rank: int) -> "HNPolygon":

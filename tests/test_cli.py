@@ -171,6 +171,7 @@ class TestSweepConfig:
         ({"rank": 3, "genus": [2]}, "'rank'"),
         ({"genus": [2]}, "'rank'"),
         ({"rank": [2]}, "'genus'"),
+        ({"rank": [2], "genus": [2], "char": [True]}, "'char'"),
     ])
     def test_malformed_config_is_usage_error(self, capture, tmp_path, sweep, field):
         config = tmp_path / "sweep.json"

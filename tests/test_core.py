@@ -164,6 +164,14 @@ class TestHNPolygon:
         poly = HNPolygon(((0, 0), (1, 2), (2, 2), (3, 0)))
         assert HNPolygon.from_json(poly.to_json()) == poly
 
+    @pytest.mark.parametrize("breakpoints", [
+        [[0, 0], [1.9, 2], [3, 0]],
+        [[0, 0], ["1", 2], [3, 0]],
+    ])
+    def test_from_json_rejects_non_integer_breakpoint(self, breakpoints):
+        with pytest.raises(ValueError, match="breakpoints must be integer pairs"):
+            HNPolygon.from_json({"breakpoints": breakpoints})
+
     def test_quotient_data_inverts_construction(self):
         ranks, degrees = (1, 2, 1), (-3, 0, 2)
         poly = polygon_from_quotient_data(ranks, degrees)

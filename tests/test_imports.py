@@ -1,0 +1,110 @@
+"""What each entry point imports, and the lazily loaded package names."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import opercalc
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# What `enumerate` and `strata` run; every process of the CLI imports these.
+CLI_MODULES = ["opercalc", "opercalc.cli", "opercalc.core", "opercalc.enumeration",
+               "opercalc.opers"]
+
+PUBLIC_NAMES = [
+    "BundleNumerics", "CurveParams", "DestabilizationPredicates", "ExpectedDimensions",
+    "FiltrationProfile", "HNPolygon", "MaxDegreeCertificate", "MaximalityReport",
+    "OperShape", "PosetDescription", "QuotCertificate", "QuotProblem", "core",
+    "destabilization_predicates", "dormant_sum_identity", "enumerate_admissible",
+    "enumerate_admissible_slow", "enumeration", "expected_dimensions", "filtrations",
+    "format_rational", "frobenius", "frobenius_oper_consistency", "hirschowitz_bound",
+    "key_inequality_check", "max_score_brute_force", "max_score_closed_form",
+    "maxdegree_certificate", "oper_polygon", "oper_quotient_degrees",
+    "oper_space_dimensions", "oper_subbundle_slope_bound", "opers",
+    "polygon_from_quotient_data", "profile_score", "pushforward_numerics",
+    "quot_dim_lower_bound", "quot_nonempty", "rational_from_json", "rational_to_json",
+    "rearrangement_check", "shatz_leq", "strata_poset", "sun_bound", "threshold_C",
+    "verify_oper_maximality", "verify_target_inequalities",
+    "worst_case_subbundle_slope_bound",
+]
+
+
+def opercalc_modules_after(statements: str) -> list[str]:
+    """The sorted ``opercalc`` entries of ``sys.modules`` once ``statements``
+    have run in a fresh interpreter, with their stdout discarded."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in statements.splitlines())
+        + "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'opercalc' or m.startswith('opercalc.'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+class TestImportSet:
+    @pytest.mark.parametrize("statements, extra", [
+        ("import opercalc.cli", []),
+        ("from opercalc import cli\n"
+         "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--verify',"
+         " '--format', 'json']) == 0", []),
+        ("from opercalc import cli\n"
+         "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--format', 'csv'])"
+         " == 0", []),
+        ("from opercalc import cli\n"
+         "assert cli.run(['strata', '--rank', '3', '--genus', '2']) == 0", []),
+        ("from opercalc import cli\n"
+         "assert cli.run(['pushforward', '--rank', '2', '--degree', '1', '--genus', '2',"
+         " '--char', '3']) == 0", ["opercalc.frobenius"]),
+        ("from opercalc import cli\n"
+         "assert cli.run(['optimize', '--weight', '4', '--cap', '2']) == 0",
+         ["opercalc.filtrations"]),
+        ("from opercalc import cli\n"
+         "assert cli.run(['check-laws']) == 0",
+         ["opercalc.filtrations", "opercalc.frobenius", "opercalc.laws"]),
+    ], ids=["import", "enumerate-verify", "enumerate-csv", "strata", "pushforward",
+            "optimize", "check-laws"])
+    def test_cli_imports_only_what_its_command_runs(self, statements, extra):
+        assert opercalc_modules_after(statements) == sorted(CLI_MODULES + extra)
+
+    def test_package_import_loads_no_submodule(self):
+        assert opercalc_modules_after("import opercalc") == ["opercalc"]
+
+    def test_one_name_loads_only_its_module(self):
+        assert opercalc_modules_after("from opercalc import HNPolygon") == [
+            "opercalc", "opercalc.core"]
+
+
+class TestLazyExports:
+    def test_public_names_are_unchanged(self):
+        assert opercalc.__all__ == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_name_is_the_defining_modules_object(self, name):
+        value = getattr(opercalc, name)
+        if name in {"core", "enumeration", "filtrations", "frobenius", "opers"}:
+            assert value is sys.modules[f"opercalc.{name}"]
+        else:
+            assert value.__module__.startswith("opercalc.")
+            assert value is getattr(sys.modules[value.__module__], name)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(PUBLIC_NAMES) <= set(dir(opercalc))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            opercalc.no_such_name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace: dict = {}
+        exec("from opercalc import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
