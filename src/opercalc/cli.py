@@ -34,10 +34,6 @@ from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
-# strata holds one n-bit dominance set per element, n² bits in all: about
-# 110 MB at this limit.  It admits r=8 g=3 (29 427 polygons) and refuses
-# r=7 g=4 (34 575).
-STRATA_MAX_ELEMENTS = 30_000
 
 
 def _style_header(text: str) -> str:
@@ -47,6 +43,11 @@ def _style_header(text: str) -> str:
 
 
 def _cell(value: Any) -> str:
+    """One csv/table cell: ``[1, 1]`` prints as ``1,1`` and ``[[1, 1], [2]]``
+    as ``1,1 2``."""
+    if isinstance(value, list):
+        sep = " " if value and isinstance(value[0], list) else ","
+        return sep.join(_cell(v) for v in value)
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, bool):
@@ -63,16 +64,25 @@ def _json_default(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def emit(fmt: str, json_obj: Any, header: list[str], rows: Iterable[list[Any]]) -> None:
+def emit(
+    fmt: str,
+    record: Any,
+    header: list[str] | None = None,
+    rows: Iterable[list[Any]] | None = None,
+) -> None:
     """Write one result in the requested format.
 
-    ``json_obj`` is the machine-readable shape; ``header``/``rows`` drive
-    the csv and table renderings.  ``rows`` is not read for json, so a
-    generator passed there costs nothing on that path.
+    ``record`` is the json output.  Without ``rows``, csv and table print it
+    as one row of its values, under ``header`` (default: all its keys, in
+    order).  Listings pass ``header`` and ``rows``; ``rows`` is not read for
+    json, so a generator passed there costs nothing on that path.
     """
     if fmt == "json":
-        print(json.dumps(json_obj, sort_keys=True, default=_json_default))
+        print(json.dumps(record, sort_keys=True, default=_json_default))
         return
+    if rows is None:
+        header = list(record) if header is None else header
+        rows = [[record[key] for key in header]]
     str_rows = [[_cell(v) for v in row] for row in rows]
     if fmt == "csv":
         import csv
@@ -99,12 +109,7 @@ def _breakpoints_cell(poly: HNPolygon) -> str:
 
 def cmd_oper_polygon(args: argparse.Namespace) -> int:
     poly = oper_polygon(args.rank, args.genus)
-    emit(
-        args.format,
-        poly.to_json(),
-        ["rank", "degree"],
-        [[x, y] for x, y in poly.breakpoints],
-    )
+    emit(args.format, poly.to_json(), ["rank", "degree"], poly.breakpoints)
     return 0
 
 
@@ -113,12 +118,7 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
 
     curve = CurveParams(args.genus, args.char)
     fq = pushforward_numerics(BundleNumerics(args.rank, args.degree), curve)
-    emit(
-        args.format,
-        {"rank": fq.rank, "degree": fq.degree, "slope": fq.slope},
-        ["rank", "degree", "slope"],
-        [[fq.rank, fq.degree, fq.slope]],
-    )
+    emit(args.format, {"rank": fq.rank, "degree": fq.degree, "slope": fq.slope})
     return 0
 
 
@@ -126,12 +126,7 @@ def cmd_hirschowitz(args: argparse.Namespace) -> int:
     from .frobenius import hirschowitz_bound
 
     eps, bound = hirschowitz_bound(args.n, args.d, args.m, args.genus)
-    emit(
-        args.format,
-        {"epsilon": eps, "slope_bound": bound},
-        ["epsilon", "slope_bound"],
-        [[eps, bound]],
-    )
+    emit(args.format, {"epsilon": eps, "slope_bound": bound})
     return 0
 
 
@@ -143,19 +138,13 @@ def cmd_quot(args: argparse.Namespace) -> int:
         BundleNumerics(args.q_rank, args.q_degree), args.rank, 0, curve
     )
     cert = quot_nonempty(problem)
-    dim_bound = quot_dim_lower_bound(problem)
-    emit(
-        args.format,
-        {
-            "hypothesis_met": cert.hypothesis_met,
-            "nonempty": cert.nonempty,
-            "case": cert.case,
-            "slope_lower_bound": cert.slope_lower_bound,
-            "dim_lower_bound": dim_bound,
-        },
-        ["hypothesis_met", "nonempty", "case", "slope_lower_bound", "dim_lower_bound"],
-        [[cert.hypothesis_met, cert.nonempty, cert.case, cert.slope_lower_bound, dim_bound]],
-    )
+    emit(args.format, {
+        "hypothesis_met": cert.hypothesis_met,
+        "nonempty": cert.nonempty,
+        "case": cert.case,
+        "slope_lower_bound": cert.slope_lower_bound,
+        "dim_lower_bound": quot_dim_lower_bound(problem),
+    })
     return 0
 
 
@@ -164,29 +153,18 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     closed = max_score_closed_form(args.weight)
     if not args.oracle:
-        emit(
-            args.format,
-            {"weight": args.weight, "cap": args.cap, "max_score": closed},
-            ["weight", "cap", "max_score"],
-            [[args.weight, args.cap, closed]],
-        )
+        emit(args.format, {"weight": args.weight, "cap": args.cap, "max_score": closed})
         return 0
     best, argmax = max_score_brute_force(args.weight, args.cap)
     agree = best == closed
-    emit(
-        args.format,
-        {
-            "weight": args.weight,
-            "cap": args.cap,
-            "closed_form": closed,
-            "brute_force": best,
-            "agree": agree,
-            "maximizers": [list(p.parts) for p in argmax],
-        },
-        ["weight", "cap", "closed_form", "brute_force", "agree", "maximizers"],
-        [[args.weight, args.cap, closed, best, agree,
-          " ".join(",".join(map(str, p.parts)) for p in argmax)]],
-    )
+    emit(args.format, {
+        "weight": args.weight,
+        "cap": args.cap,
+        "closed_form": closed,
+        "brute_force": best,
+        "agree": agree,
+        "maximizers": [list(p.parts) for p in argmax],
+    })
     return 0 if agree else VERIFICATION_FAILURE
 
 
@@ -194,40 +172,28 @@ def cmd_sun_bound(args: argparse.Namespace) -> int:
     from .filtrations import FiltrationProfile, sun_bound
 
     parts = tuple(int(x) for x in args.profile.split(","))
-    cap = args.cap if args.cap is not None else (parts[0] if parts else 1)
-    profile = FiltrationProfile(parts, cap)
+    profile = FiltrationProfile(parts, parts[0])
     curve = CurveParams(args.genus, args.char)
     if args.char == 2:
         print("note: characteristic 2 evaluates (p-1)/2 as the exact rational 1/2",
               file=sys.stderr)
-    gap = sun_bound(profile, curve)
-    emit(
-        args.format,
-        {"profile": list(parts), "gap_term": gap},
-        ["profile", "gap_term"],
-        [[",".join(map(str, parts)), gap]],
-    )
+    emit(args.format, {"profile": list(parts), "gap_term": sun_bound(profile, curve)})
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.verify:
         report = verify_oper_maximality(args.rank, args.genus)
-        emit(
-            args.format,
-            {
-                "rank": args.rank,
-                "genus": args.genus,
-                "count": report.count,
-                "all_dominated": report.all_dominated,
-                "oper_polygon_present": report.oper_polygon_present,
-                "unique_maximum": report.unique_maximum,
-                "passed": report.passed,
-            },
-            ["count", "all_dominated", "oper_polygon_present", "unique_maximum", "passed"],
-            [[report.count, report.all_dominated, report.oper_polygon_present,
-              report.unique_maximum, report.passed]],
-        )
+        record = {
+            "rank": args.rank,
+            "genus": args.genus,
+            "count": report.count,
+            "all_dominated": report.all_dominated,
+            "oper_polygon_present": report.oper_polygon_present,
+            "unique_maximum": report.unique_maximum,
+            "passed": report.passed,
+        }
+        emit(args.format, record, list(record)[2:])  # csv and table omit rank, genus
         return 0 if report.passed else VERIFICATION_FAILURE
     polys = enumerate_admissible(args.rank, args.genus)
 
@@ -247,15 +213,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
-    polys = enumerate_admissible(args.rank, args.genus)
-    if len(polys) > STRATA_MAX_ELEMENTS:
-        raise ValueError(
-            f"strata at rank {args.rank} genus {args.genus} has {len(polys)} "
-            f"polygons, above the limit of {STRATA_MAX_ELEMENTS}; its dominance "
-            f"sets would take {len(polys)}² bits ({len(polys) ** 2 // 8_000_000} MB) "
-            "of memory"
-        )
-    poset = strata_poset(polys)
+    poset = strata_poset(enumerate_admissible(args.rank, args.genus))
     elements = [_breakpoints_cell(p) for p in poset.elements]
     emit(
         args.format,
@@ -315,20 +273,14 @@ def cmd_dims(args: argparse.Namespace) -> int:
     r, g = args.rank, args.genus
     dims = expected_dimensions(r, g)
     base_dim, oper_dim = oper_space_dimensions(r, g)
-    payload = {
+    emit(args.format, {
         "threshold_C": threshold_C(r, g),
         "hitchin_base_dim": base_dim,
         "oper_space_dim": oper_dim,
         "destabilized_locus_dim": dims.destabilized_locus_dim,
         "quot_expected": dims.quot_expected,
         "oper_quot_degree": dims.oper_quot_degree,
-    }
-    emit(
-        args.format,
-        payload,
-        list(payload),
-        [[payload[k] for k in payload]],
-    )
+    })
     return 0
 
 
@@ -402,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exact slope gap term for a filtration profile")
     sp.add_argument("--profile", type=str, required=True,
                     help="comma-separated weakly decreasing parts, e.g. 2,1,1")
-    sp.add_argument("--cap", type=int, default=None,
-                    help="rank cap (default: leading part)")
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--char", type=int, required=True)
     sp.set_defaults(func=cmd_sun_bound)

@@ -266,6 +266,12 @@ class PosetDescription:
         return tuple(i for i in range(len(self.elements)) if i not in not_min)
 
 
+# strata_poset holds one n-bit dominance set per element, n² bits in all:
+# about 110 MB at this limit.  It admits r=8 g=3 (29 427 polygons) and
+# refuses r=7 g=4 (34 575).
+STRATA_MAX_ELEMENTS = 30_000
+
+
 def strata_poset(polygons: Iterable[HNPolygon]) -> PosetDescription:
     """Cover relations of a finite set of polygons under :func:`shatz_leq`.
 
@@ -279,15 +285,23 @@ def strata_poset(polygons: Iterable[HNPolygon]) -> PosetDescription:
     increasing area, a linear extension (a polygon strictly below another
     has strictly smaller area), so the lowest bit above ``i`` that no cover
     found so far lies below is the next cover of ``i``.
+
+    More than :data:`STRATA_MAX_ELEMENTS` distinct polygons raise
+    ``ValueError`` before any dominance set is built.
     """
     elements = tuple(sorted(set(polygons), key=lambda p: p.breakpoints))
+    n = len(elements)
+    if n > STRATA_MAX_ELEMENTS:
+        raise ValueError(
+            f"strata_poset got {n} polygons, above the limit of {STRATA_MAX_ELEMENTS}; "
+            f"their dominance sets would take {n}² bits ({n ** 2 // 8_000_000} MB) of memory"
+        )
     if not elements:
         return PosetDescription((), ())
     endpoint = elements[0].endpoint
     for p in elements:
         if p.endpoint != endpoint:
             raise ValueError("all polygons must share the same endpoints")
-    n = len(elements)
     scale = lcm(*range(1, endpoint[0] + 1))
     vectors = [_scaled_values(p, scale) for p in elements]
     order = sorted(range(n), key=lambda i: sum(vectors[i]))  # position -> index

@@ -19,7 +19,7 @@ from .core import HNPolygon, polygon_from_quotient_data, shatz_leq
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
-# enumerates in 3.7 s and peaks at 664 MB as a JSON listing.
+# enumerates in 3.7 s and peaks at about 426 MB as a JSON listing.
 MAX_POLYGONS = 250_000
 
 

@@ -98,7 +98,7 @@ def _hirschowitz_congruence(n: int, g: int, d: int, m: int) -> bool:
 
 
 def _quot_nonempty_cases() -> Iterable[tuple[int, int, int, int, int]]:
-    for q, p, g in itertools.product((1, 2, 3), (3, 5, 7), range(2, 5)):
+    for q, p, g in itertools.product((1, 2, 3), (3, 5, 7, 11, 13), range(2, 5)):
         for r in range(q + 1, min(3 * q, p * q - 1) + 1):
             lo = -(r - q) * (g - 1)
             for deg in range(lo, lo + 10):
@@ -107,7 +107,7 @@ def _quot_nonempty_cases() -> Iterable[tuple[int, int, int, int, int]]:
 
 def _quot_certified(q: int, r: int, p: int, g: int, deg: int) -> bool:
     cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, 0, CurveParams(g, p)))
-    return cert.hypothesis_met and cert.slope_lower_bound >= 0
+    return cert.hypothesis_met and cert.nonempty and cert.slope_lower_bound >= 0
 
 
 def _score_optimal(w: int, q: int) -> bool:

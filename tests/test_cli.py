@@ -5,7 +5,7 @@ import json
 import pytest
 
 from opercalc import HNPolygon, enumerate_admissible
-from opercalc.cli import run
+from opercalc.cli import _cell, run
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
 
@@ -35,6 +35,85 @@ class TestOperPolygonCommand:
         code, _, err = capture("oper-polygon", "--rank", "1", "--genus", "2")
         assert code == 2
         assert "error" in err
+
+
+FORMATS = ("json", "csv", "table")
+
+# Exact stdout, in json, csv and table, of each command that prints one record.
+RECORD_OUTPUTS = {
+    "pushforward --rank 2 --degree 3 --genus 3 --char 5": (
+        '{"degree": 19, "rank": 10, "slope": {"den": "10", "num": "19"}}\n',
+        "rank,degree,slope\n10,19,19/10\n",
+        "rank  degree  slope\n10    19      19/10\n",
+    ),
+    "hirschowitz --n 5 --d 3 --m 2 --genus 3": (
+        '{"epsilon": 4, "slope_bound": {"den": "1", "num": "-1"}}\n',
+        "epsilon,slope_bound\n4,-1\n",
+        "epsilon  slope_bound\n4        -1\n",
+    ),
+    "quot --q-rank 2 --q-degree 5 --rank 3 --genus 3 --char 5": (
+        '{"case": 2, "dim_lower_bound": 21, "hypothesis_met": true, "nonempty": true, '
+        '"slope_lower_bound": {"den": "30", "num": "11"}}\n',
+        "hypothesis_met,nonempty,case,slope_lower_bound,dim_lower_bound\n"
+        "true,true,2,11/30,21\n",
+        "hypothesis_met  nonempty  case  slope_lower_bound  dim_lower_bound\n"
+        "true            true      2     11/30              21\n",
+    ),
+    "optimize --weight 4 --cap 2": (
+        '{"cap": 2, "max_score": 6, "weight": 4}\n',
+        "weight,cap,max_score\n4,2,6\n",
+        "weight  cap  max_score\n4       2    6\n",
+    ),
+    "optimize --weight 9 --cap 3 --oracle": (
+        '{"agree": true, "brute_force": 36, "cap": 3, "closed_form": 36, '
+        '"maximizers": [[1, 1, 1, 1, 1, 1, 1, 1, 1]], "weight": 9}\n',
+        "weight,cap,closed_form,brute_force,agree,maximizers\n"
+        '9,3,36,36,true,"1,1,1,1,1,1,1,1,1"\n',
+        "weight  cap  closed_form  brute_force  agree  maximizers\n"
+        "9       3    36           36           true   1,1,1,1,1,1,1,1,1\n",
+    ),
+    "sun-bound --profile 3,2,2,1 --genus 3 --char 7": (
+        '{"gap_term": {"den": "14", "num": "15"}, "profile": [3, 2, 2, 1]}\n',
+        'profile,gap_term\n"3,2,2,1",15/14\n',
+        "profile  gap_term\n3,2,2,1  15/14\n",
+    ),
+    "sun-bound --profile 4 --genus 3 --char 7": (
+        '{"gap_term": {"den": "7", "num": "12"}, "profile": [4]}\n',
+        "profile,gap_term\n4,12/7\n",
+        "profile  gap_term\n4        12/7\n",
+    ),
+    "dims --rank 4 --genus 3": (
+        '{"destabilized_locus_dim": null, "hitchin_base_dim": 30, "oper_quot_degree": -6, '
+        '"oper_space_dim": 30, "quot_expected": 0, "threshold_C": 48}\n',
+        "threshold_C,hitchin_base_dim,oper_space_dim,destabilized_locus_dim,quot_expected,"
+        "oper_quot_degree\n48,30,30,-,0,-6\n",
+        "threshold_C  hitchin_base_dim  oper_space_dim  destabilized_locus_dim  quot_expected  "
+        "oper_quot_degree\n48           30                30              -                 "
+        "      0              -6\n",
+    ),
+    "enumerate --rank 5 --genus 3 --verify": (
+        '{"all_dominated": true, "count": 237, "genus": 3, "oper_polygon_present": true, '
+        '"passed": true, "rank": 5, "unique_maximum": true}\n',
+        "count,all_dominated,oper_polygon_present,unique_maximum,passed\n"
+        "237,true,true,true,true\n",
+        "count  all_dominated  oper_polygon_present  unique_maximum  passed\n"
+        "237    true           true                  true            true\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("line", RECORD_OUTPUTS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_record_output_is_pinned(capture, line, fmt):
+    code, out, err = capture(*line.split(), "--format", fmt)
+    assert (code, out, err) == (0, RECORD_OUTPUTS[line][FORMATS.index(fmt)], "")
+
+
+@pytest.mark.parametrize("value, cell", [
+    ([1, 1], "1,1"), ([4], "4"), ([[1, 1], [2]], "1,1 2"), ([[1, 1, 1]], "1,1,1"),
+])
+def test_list_cell(value, cell):
+    assert _cell(value) == cell
 
 
 class TestCalculatorCommands:
@@ -73,6 +152,18 @@ class TestCalculatorCommands:
         payload = json.loads(out)
         assert payload["closed_form"] == payload["brute_force"] == 6
         assert payload["maximizers"] == [[1, 1, 1, 1]]
+
+    def test_optimize_oracle_refuses_past_the_profile_limit(self, capture, monkeypatch):
+        monkeypatch.setattr("opercalc.filtrations.MAX_PROFILES", 4)
+        code, out, err = capture("optimize", "--weight", "6", "--cap", "6", "--oracle")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "MAX_PROFILES = 4" in err
+
+    def test_sun_bound_cap_option_is_gone(self, capture):
+        code, out, _ = capture(
+            "sun-bound", "--profile", "1,1", "--cap", "3", "--genus", "2", "--char", "5"
+        )
+        assert (code, out) == (2, "")
 
     def test_sun_bound_csv(self, capture):
         code, out, _ = capture(
@@ -129,7 +220,7 @@ class TestEnumerateCommand:
         assert top == {"breakpoints": [[0, 0], [1, 2], [2, 2], [3, 0]]}
 
     def test_strata_refuses_too_many_elements(self, capture, monkeypatch):
-        monkeypatch.setattr("opercalc.cli.STRATA_MAX_ELEMENTS", 4)
+        monkeypatch.setattr("opercalc.core.STRATA_MAX_ELEMENTS", 4)
         code, out, err = capture("strata", "--rank", "3", "--genus", "2")
         assert code == 2
         assert out == ""

@@ -307,6 +307,21 @@ class TestStrataPoset:
         assert moved.covers == poset.covers
         assert moved == pair_matrix_strata_poset(moved.elements)
 
+    def test_refuses_past_the_element_limit_before_any_bitset(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("dominance vectors built before the size check")
+
+        monkeypatch.setattr("opercalc.core.STRATA_MAX_ELEMENTS", 4)
+        monkeypatch.setattr("opercalc.core._scaled_values", unreachable)
+        polys = enumerate_admissible(3, 2)
+        with pytest.raises(ValueError, match="5 polygons, above the limit of 4"):
+            strata_poset(polys + polys)
+
+    def test_duplicates_count_once_toward_the_limit(self, monkeypatch):
+        polys = enumerate_admissible(3, 2)
+        monkeypatch.setattr("opercalc.core.STRATA_MAX_ELEMENTS", len(polys))
+        assert strata_poset(polys + polys) == strata_poset(polys)
+
     def test_rank_7_genus_3(self):
         poset = strata_poset(enumerate_admissible(7, 3))
         assert len(poset.elements) == 5767

@@ -17,7 +17,7 @@ from opercalc import (
     sun_bound,
     worst_case_subbundle_slope_bound,
 )
-from opercalc.filtrations import _partitions, sun_gap_term
+from opercalc.filtrations import MAX_PROFILES, _partitions, _profile_count, sun_gap_term
 
 profiles = st.integers(1, 5).flatmap(
     lambda cap: st.lists(st.integers(1, cap), min_size=1, max_size=7).map(
@@ -37,6 +37,11 @@ class TestFiltrationProfile:
 
     def test_weight(self):
         assert FiltrationProfile((2, 2, 1), 2).weight == 5
+
+    @pytest.mark.parametrize("parts", [(2.7, 1.2), (2, Fraction(1))])
+    def test_rejects_non_integer_parts(self, parts):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            FiltrationProfile(parts, 3)
 
 
 class TestProfileScore:
@@ -75,6 +80,21 @@ class TestMaxScore:
     def test_rejects_infeasible_cap(self):
         with pytest.raises(ValueError):
             max_score_brute_force(4, 0)
+
+    def test_profile_count_is_exact_up_to_the_limit(self):
+        for w in range(1, 16):
+            for q in range(1, w + 2):
+                assert _profile_count(w, q) == sum(1 for _ in _partitions(w, q))
+        assert _profile_count(50, 50) == 204_226
+        assert _profile_count(200, 200) == _profile_count(10**9, 2) == MAX_PROFILES + 1
+        assert _profile_count(10**9, 1) == 1
+
+    def test_refuses_past_the_profile_limit(self, monkeypatch):
+        # weight 6 has 11 profiles, 7 of them with parts <= 3
+        monkeypatch.setattr("opercalc.filtrations.MAX_PROFILES", 7)
+        assert max_score_brute_force(6, 3)[0] == 15
+        with pytest.raises(ValueError, match="more than MAX_PROFILES = 7"):
+            max_score_brute_force(6, 4)
 
 
 class TestSunBound:

@@ -12,7 +12,7 @@ LAW_GRID_SIZES = [
     ("frobenius-oper-consistency", 468),
     ("quot-dimension-consistency", 44),
     ("hirschowitz-congruence", 1755),
-    ("quot-nonempty-certificates", 990),
+    ("quot-nonempty-certificates", 1710),
     ("score-optimization", 55),
     ("slope-gap-minimum", 72),
     ("rearrangement-inequality", 300),
