@@ -21,7 +21,7 @@ def main() -> int:
     parser.add_argument(
         "--cross-check", action="store_true",
         help="also run the slow oracle generator and compare; it dominates the "
-        "run time: about 0.05 s at r=6 g=2, 0.5 s at r=6 g=3 and 2 s at r=7 "
+        "run time: about 0.01 s at r=6 g=2, 0.15 s at r=6 g=3 and 1 s at r=7 "
         "g=3 (2-CPU host)",
     )
     args = parser.parse_args()

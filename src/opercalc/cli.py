@@ -152,6 +152,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     from .filtrations import max_score_brute_force, max_score_closed_form
 
     closed = max_score_closed_form(args.weight)
+    if args.cap < 1:
+        raise ValueError(f"cap must be >= 1, got {args.cap}")
     if not args.oracle:
         emit(args.format, {"weight": args.weight, "cap": args.cap, "max_score": closed})
         return 0

@@ -2,12 +2,12 @@
 
 Everything here is a pure value computed with :class:`fractions.Fraction`;
 no floating point is used anywhere in the package, and polygon breakpoints
-must be integers.  The dominance order is decided in integers, without
-building a ``Fraction``: :func:`shatz_leq` tests one polygon's breakpoints
-against the other by cross-multiplication, and :func:`strata_poset` compares
-values at x = 1 .. r-1 scaled by lcm(1, ..., r), one Python-int bitset of
-dominating elements per polygon.  :meth:`HNPolygon.value_at` and the rest of
-the public API still return ``Fraction`` values.
+must be integers.  There is one dominance rule, decided in integers without
+building a ``Fraction``: compare values at x = 1 .. r-1 scaled by
+lcm(1, ..., r) (:func:`_scaled_values`).  :func:`shatz_leq` compares two such
+vectors; :func:`strata_poset` compares them all at once, one Python-int bitset
+of dominating elements per polygon.  :meth:`HNPolygon.value_at` and the rest
+of the public API still return ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import lcm
-from operator import index
+from operator import index, le
 from typing import Iterable, Sequence
 
 
@@ -188,20 +188,15 @@ def polygon_from_quotient_data(
 ) -> HNPolygon:
     """Build the polygon whose quotients, read bottom-up, are (ranks, degrees).
 
-    The slopes ``degrees[i] / ranks[i]`` must strictly increase; the polygon
-    then has breakpoints given by the reversed cumulative sums, so its
-    segment slopes strictly decrease.
+    The ranks must be positive and the slopes ``degrees[i] / ranks[i]`` must
+    strictly increase; the polygon then has breakpoints given by the reversed
+    cumulative sums, so its segment slopes strictly decrease.  The
+    :class:`HNPolygon` constructor rejects, in integers, any other input.
     """
     if len(ranks) == 0:
         raise ValueError("empty quotient data")
     if len(ranks) != len(degrees):
         raise ValueError("ranks and degrees must have equal length")
-    if any(n < 1 for n in ranks):
-        raise ValueError("quotient ranks must be positive")
-    slopes = [Fraction(d, n) for n, d in zip(ranks, degrees)]
-    for s0, s1 in zip(slopes, slopes[1:]):
-        if s1 <= s0:
-            raise ValueError("quotient slopes must strictly increase")
     pts = [(0, 0)]
     r_acc = d_acc = 0
     for n, d in zip(reversed(ranks), reversed(degrees)):
@@ -211,38 +206,20 @@ def polygon_from_quotient_data(
     return HNPolygon(tuple(pts))
 
 
-def _below(a: HNPolygon, b: HNPolygon) -> bool:
-    """True iff every breakpoint of ``a`` lies on or below ``b``.
-
-    ``a`` must not reach past ``b``'s last rank.  A point ``(x, y)`` on the
-    segment ``(r0, d0)-(r1, d1)`` of ``b`` passes when
-    ``y <= d0 + (d1 - d0)(x - r0)/(r1 - r0)``, tested with the width
-    ``r1 - r0 > 0`` multiplied through.
-    """
-    segments = zip(b.breakpoints, b.breakpoints[1:])
-    (r0, d0), (r1, d1) = next(segments)
-    for x, y in a.breakpoints:
-        while x > r1:
-            (r0, d0), (r1, d1) = next(segments)
-        width = r1 - r0
-        if y * width > d0 * width + (d1 - d0) * (x - r0):
-            return False
-    return True
-
-
 def shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:
     """True iff ``b`` lies on or above ``a`` (``a`` below ``b`` in the
     dominance order on polygons with common endpoints).
 
-    On each segment of ``a`` the difference ``b - a`` is concave, so its
-    minimum is at the segment's ends: testing the breakpoints of ``a``
-    decides dominance everywhere.
+    Both polygons are linear between consecutive integers, so ``a <= b``
+    iff the vector of :func:`_scaled_values` of ``a`` is componentwise at
+    most that of ``b``.
     """
     if a.endpoint != b.endpoint:
         raise ValueError(
             f"polygons not comparable: endpoints {a.endpoint} != {b.endpoint}"
         )
-    return _below(a, b)
+    scale = lcm(*range(1, a.total_rank + 1))
+    return all(map(le, _scaled_values(a, scale), _scaled_values(b, scale)))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ absolute value, which truncates the search.  A listing is refused past
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import HNPolygon, polygon_from_quotient_data, shatz_leq
@@ -120,9 +119,9 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
         lo, hi = -n * bound, n * bound
         if degrees:
             # slope d/n strictly above the previous one, by at most the gap
-            prev = Fraction(degrees[-1], comp[i - 1])
-            lo = max(lo, (n * prev).__floor__() + 1)
-            hi = min(hi, (n * (prev + gap)).__floor__())
+            d0, n0 = degrees[-1], comp[i - 1]
+            lo = max(lo, n * d0 // n0 + 1)
+            hi = min(hi, n * (d0 + gap * n0) // n0)
         for d in range(lo, hi + 1):
             extend(degrees + (d,), comp, bound)
 
@@ -138,9 +137,12 @@ class MaximalityReport:
     r: int
     g: int
     polygons: tuple[HNPolygon, ...] = field(repr=False)
-    all_dominated: bool
     oper_polygon_present: bool
     counterexamples: tuple[HNPolygon, ...]
+
+    @property
+    def all_dominated(self) -> bool:
+        return not self.counterexamples
 
     @property
     def count(self) -> int:
@@ -150,12 +152,12 @@ class MaximalityReport:
     def unique_maximum(self) -> bool:
         """Whether the oper polygon is the only maximal admissible polygon.
 
-        Implied by the two stored facts.  If every polygon lies under the oper
-        polygon and the oper polygon is present, no other polygon is maximal,
-        and the oper polygon is: any q above it is also under it, so q equals
-        it by antisymmetry of the Shatz order on canonical polygons.  If
-        either fact fails, the oper polygon is absent or some polygon is not
-        under it, so it is not the unique maximum.
+        Implied by the two facts it combines.  If every polygon lies under
+        the oper polygon and the oper polygon is present, no other polygon is
+        maximal, and the oper polygon is: any q above it is also under it, so
+        q equals it by antisymmetry of the Shatz order on canonical polygons.
+        If either fact fails, the oper polygon is absent or some polygon is
+        not under it, so it is not the unique maximum.
         """
         return self.all_dominated and self.oper_polygon_present
 
@@ -174,7 +176,6 @@ def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
         r=r,
         g=g,
         polygons=polys,
-        all_dominated=not counterexamples,
         oper_polygon_present=top in polys,
         counterexamples=counterexamples,
     )

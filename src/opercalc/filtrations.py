@@ -15,9 +15,14 @@ from typing import Iterator, NamedTuple
 from .core import BundleNumerics, CurveParams
 
 # The exhaustive score search walks every profile of the weight: 204 226 at
-# w=50, about 2 s.  Every cap is admitted up to w=51 (239 943 profiles at
+# w=50, about 1 s.  Every cap is admitted up to w=51 (239 943 profiles at
 # full cap); w=52 has 281 589.
 MAX_PROFILES = 250_000
+# Each profile has up to w parts, so few but long profiles cost as much:
+# profiles times w is bounded too.  This admits w=51 at full cap
+# (12 237 093), w=4999 at cap 2 (about 2 s) and w=12 500 000 at cap 1
+# (about 5 s and 400 MB).
+MAX_PARTS = 12_500_000
 
 
 @dataclass(frozen=True, order=True)
@@ -68,16 +73,25 @@ def max_score_closed_form(w: int) -> int:
 
 
 def _partitions(w: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing positive sequences with parts <= cap summing to w."""
+    """Weakly decreasing positive sequences with parts <= cap summing to w,
+    in decreasing lexicographic order; none unless w and cap are >= 1.
 
-    def rec(remaining: int, largest: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
+    Each step lowers the last part above 1 and refills the rest greedily
+    (Knuth, TAOCP 7.2.1.4), without recursion: a profile may have w parts.
+    """
+    if w < 1 or cap < 1:
+        return
+    parts: list[int] = []
+    while True:
+        q, rem = divmod(w, cap)  # refill w with parts <= cap
+        parts += [cap] * q + ([rem] if rem else [])
+        yield tuple(parts)
+        ones = parts.count(1)
+        del parts[len(parts) - ones:]
+        if not parts:
             return
-        for part in range(min(largest, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(w, cap, ())
+        cap = parts.pop() - 1
+        w = ones + 1 + cap
 
 
 def _profile_count(w: int, cap: int) -> int:
@@ -105,15 +119,20 @@ def max_score_brute_force(
 
     Iterates over all lengths 1..w.  Returns the maximum and every
     maximizer, sorted.  Independent oracle for the closed form.  Refuses,
-    before walking any, more than :data:`MAX_PROFILES` profiles.
+    before walking any, more than :data:`MAX_PROFILES` profiles, or more
+    than :data:`MAX_PARTS` profiles times w.
     """
     if w < 1:
         raise ValueError(f"weight must be >= 1, got {w}")
     if q < 1:
         raise ValueError(f"cap must be >= 1, got {q}")
-    if _profile_count(w, q) > MAX_PROFILES:
+    count = _profile_count(w, q)
+    if count > MAX_PROFILES:
         raise ValueError(f"weight {w} cap {q} has more than MAX_PROFILES = {MAX_PROFILES} "
                          "profiles; refusing the exhaustive search")
+    if count * w > MAX_PARTS:
+        raise ValueError(f"weight {w} cap {q} needs up to {count * w} profile parts, more "
+                         f"than MAX_PARTS = {MAX_PARTS}; refusing the exhaustive search")
     best = -1
     argmax: list[FiltrationProfile] = []
     for parts in _partitions(w, q):

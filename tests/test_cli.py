@@ -153,6 +153,21 @@ class TestCalculatorCommands:
         assert payload["closed_form"] == payload["brute_force"] == 6
         assert payload["maximizers"] == [[1, 1, 1, 1]]
 
+    @pytest.mark.parametrize("weight, cap", [("2000", "1"), ("1200", "2")])
+    def test_optimize_oracle_walks_profiles_deeper_than_the_recursion_limit(
+        self, capture, weight, cap
+    ):
+        code, out, _ = capture(
+            "optimize", "--weight", weight, "--cap", cap, "--oracle", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["agree"] is True
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_optimize_refuses_cap_below_one(self, capture, oracle):
+        code, out, err = capture("optimize", "--weight", "4", "--cap", "0", *oracle)
+        assert (code, out, err) == (2, "", "error: cap must be >= 1, got 0\n")
+
     def test_optimize_oracle_refuses_past_the_profile_limit(self, capture, monkeypatch):
         monkeypatch.setattr("opercalc.filtrations.MAX_PROFILES", 4)
         code, out, err = capture("optimize", "--weight", "6", "--cap", "6", "--oracle")

@@ -15,7 +15,28 @@ from opercalc import (
     shatz_leq,
     strata_poset,
 )
-from opercalc.core import _below
+
+
+def _below(a: HNPolygon, b: HNPolygon) -> bool:
+    """True iff every breakpoint of ``a`` lies on or below ``b``.
+
+    A breakpoint test independent of the scaled value vectors that
+    :func:`shatz_leq` and :func:`strata_poset` compare.  ``a`` must not
+    reach past ``b``'s last rank.  A point ``(x, y)`` on the segment
+    ``(r0, d0)-(r1, d1)`` of ``b`` passes when
+    ``y <= d0 + (d1 - d0)(x - r0)/(r1 - r0)``, tested with the width
+    ``r1 - r0 > 0`` multiplied through.  On each segment of ``a`` the
+    difference ``b - a`` is concave, so its minimum is at the segment's ends.
+    """
+    segments = zip(b.breakpoints, b.breakpoints[1:])
+    (r0, d0), (r1, d1) = next(segments)
+    for x, y in a.breakpoints:
+        while x > r1:
+            (r0, d0), (r1, d1) = next(segments)
+        width = r1 - r0
+        if y * width > d0 * width + (d1 - d0) * (x - r0):
+            return False
+    return True
 
 
 def reference_shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:
@@ -187,13 +208,17 @@ class TestPolygonFromQuotientData:
         poly = polygon_from_quotient_data((1, 1, 1), (-2, 0, 2))
         assert poly.breakpoints == ((0, 0), (1, 2), (2, 2), (3, 0))
 
-    def test_rejects_decreasing_slopes(self):
+    @pytest.mark.parametrize("ranks, degrees", [
+        pytest.param((1, 0, 2), (-1, 0, 1), id="zero-rank"),
+        pytest.param((2, -1, 2), (-1, 0, 1), id="negative-rank"),
+        pytest.param((1, 2), (1, 2), id="equal-slopes"),
+        pytest.param((1, 1), (1, -1), id="decreasing-slopes"),
+        pytest.param((1, 1), (-1, 0, 1), id="mismatched-lengths"),
+        pytest.param((), (), id="empty"),
+    ])
+    def test_rejects_invalid_quotient_data(self, ranks, degrees):
         with pytest.raises(ValueError):
-            polygon_from_quotient_data((1, 1), (1, -1))
-
-    def test_rejects_empty_input(self):
-        with pytest.raises(ValueError):
-            polygon_from_quotient_data((), ())
+            polygon_from_quotient_data(ranks, degrees)
 
     def test_segment_slopes_read_back(self):
         ranks, degrees = (2, 1, 3), (-5, 0, 9)
@@ -230,10 +255,11 @@ class TestShatzLeq:
         if shatz_leq(a, b) and shatz_leq(b, c):
             assert shatz_leq(a, c)
 
-    @given(concave_polygons(6), concave_polygons(6))
-    def test_matches_value_sampling_reference(self, a, b):
-        assert shatz_leq(a, b) == reference_shatz_leq(a, b)
-        assert shatz_leq(b, a) == reference_shatz_leq(b, a)
+    @given(concave_polygons(6), concave_polygons(6), st.integers(min_value=-3, max_value=3))
+    def test_matches_value_sampling_reference(self, a, b, k):
+        a, b = sheared(a, k), sheared(b, k)  # endpoint (6, 6k)
+        for lo, hi in ((a, b), (b, a)):
+            assert shatz_leq(lo, hi) == reference_shatz_leq(lo, hi) == _below(lo, hi)
 
     @given(concave_polygons(7))
     def test_value_at_is_concave(self, poly):

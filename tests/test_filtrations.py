@@ -19,6 +19,16 @@ from opercalc import (
 )
 from opercalc.filtrations import MAX_PROFILES, _partitions, _profile_count, sun_gap_term
 
+
+def recursive_partitions(w, cap, prefix=()):
+    """Depth-first reference walk: largest part first, one frame per part."""
+    if w == 0:
+        yield prefix
+        return
+    for part in range(min(cap, w), 0, -1):
+        yield from recursive_partitions(w - part, part, prefix + (part,))
+
+
 profiles = st.integers(1, 5).flatmap(
     lambda cap: st.lists(st.integers(1, cap), min_size=1, max_size=7).map(
         lambda parts: FiltrationProfile(tuple(sorted(parts, reverse=True)), cap)
@@ -88,6 +98,20 @@ class TestMaxScore:
         assert _profile_count(50, 50) == 204_226
         assert _profile_count(200, 200) == _profile_count(10**9, 2) == MAX_PROFILES + 1
         assert _profile_count(10**9, 1) == 1
+
+    def test_partitions_in_the_order_of_the_recursive_walk(self):
+        for w in range(1, 16):
+            for q in range(1, w + 2):
+                assert list(_partitions(w, q)) == list(recursive_partitions(w, q))
+
+    def test_refuses_past_the_parts_limit(self, monkeypatch):
+        with pytest.raises(ValueError, match="more than MAX_PARTS = 12500000"):
+            max_score_brute_force(10**9, 1)
+        # weight 6 cap 3 has 7 profiles of up to 6 parts
+        monkeypatch.setattr("opercalc.filtrations.MAX_PARTS", 42)
+        assert max_score_brute_force(6, 3)[0] == 15
+        with pytest.raises(ValueError, match="up to 56 profile parts, more than MAX_PARTS = 42"):
+            max_score_brute_force(7, 3)
 
     def test_refuses_past_the_profile_limit(self, monkeypatch):
         # weight 6 has 11 profiles, 7 of them with parts <= 3
