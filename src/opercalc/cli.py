@@ -1,6 +1,7 @@
 """Command-line front-end.
 
-Every subcommand supports --format json|csv|table (default table).
+Every subcommand supports --format json|csv|table (default table), except
+that ``dims --config`` always writes CSV.
 Rationals print as "a/b" in tables and CSV and as {"num", "den"} decimal
 strings in JSON; never as decimals.  Exit codes: 0 success, 1 verification
 failure (counterexample found), 2 usage error.
@@ -24,9 +25,9 @@ from .core import (
     BundleNumerics,
     CurveParams,
     HNPolygon,
+    dominated_by,
     format_rational,
     rational_to_json,
-    shatz_leq,
     strata_poset,
 )
 from .enumeration import enumerate_admissible, verify_oper_maximality
@@ -134,9 +135,7 @@ def cmd_quot(args: argparse.Namespace) -> int:
     from .frobenius import QuotProblem, quot_dim_lower_bound, quot_nonempty
 
     curve = CurveParams(args.genus, args.char)
-    problem = QuotProblem(
-        BundleNumerics(args.q_rank, args.q_degree), args.rank, 0, curve
-    )
+    problem = QuotProblem(BundleNumerics(args.q_rank, args.q_degree), args.rank, curve)
     cert = quot_nonempty(problem)
     emit(args.format, {
         "hypothesis_met": cert.hypothesis_met,
@@ -202,8 +201,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     def rows() -> Iterator[list[str]]:
         # Runs only when csv or table output reads the rows, not for json.
         top = oper_polygon(args.rank, args.genus)
+        under_top = dominated_by(top)
         for p in polys:
-            yield [_breakpoints_cell(p), str(p == top), str(shatz_leq(p, top))]
+            yield [_breakpoints_cell(p), str(p == top), str(under_top(p))]
 
     emit(
         args.format,

@@ -5,8 +5,9 @@ no floating point is used anywhere in the package, and polygon breakpoints
 must be integers.  There is one dominance rule, decided in integers without
 building a ``Fraction``: compare values at x = 1 .. r-1 scaled by
 lcm(1, ..., r) (:func:`_scaled_values`).  :func:`shatz_leq` compares two such
-vectors; :func:`strata_poset` compares them all at once, one Python-int bitset
-of dominating elements per polygon.  :meth:`HNPolygon.value_at` and the rest
+vectors, :func:`dominated_by` compares many to one built once, and
+:func:`strata_poset` compares them all at once, one Python-int bitset of
+dominating elements per polygon.  :meth:`HNPolygon.value_at` and the rest
 of the public API still return ``Fraction`` values.
 """
 
@@ -17,21 +18,38 @@ from fractions import Fraction
 from itertools import accumulate, groupby
 from math import lcm
 from operator import index, le
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases 2 .. 37.
+
+    Exact below 318 665 857 834 031 151 167 461, the least strong
+    pseudoprime to all twelve bases (Sorenson and Webster, "Strong
+    pseudoprimes to twelve prime bases", 2015); larger ``n`` raise
+    ``ValueError``.
+    """
+    if n >= 318_665_857_834_031_151_167_461:
+        raise ValueError(f"cannot decide whether {n} is prime: the primality test "
+                         "is exact only below 318665857834031151167461")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -214,12 +232,23 @@ def shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:
     iff the vector of :func:`_scaled_values` of ``a`` is componentwise at
     most that of ``b``.
     """
-    if a.endpoint != b.endpoint:
-        raise ValueError(
-            f"polygons not comparable: endpoints {a.endpoint} != {b.endpoint}"
-        )
-    scale = lcm(*range(1, a.total_rank + 1))
-    return all(map(le, _scaled_values(a, scale), _scaled_values(b, scale)))
+    return dominated_by(b)(a)
+
+
+def dominated_by(top: HNPolygon) -> Callable[[HNPolygon], bool]:
+    """The test ``shatz_leq(a, top)`` as a function of ``a``, with lcm(1, ..., r)
+    and the scaled vector of ``top`` computed once for every polygon tested."""
+    scale = lcm(*range(1, top.total_rank + 1))
+    ceiling = _scaled_values(top, scale)
+
+    def under_top(a: HNPolygon) -> bool:
+        if a.endpoint != top.endpoint:
+            raise ValueError(
+                f"polygons not comparable: endpoints {a.endpoint} != {top.endpoint}"
+            )
+        return all(map(le, _scaled_values(a, scale), ceiling))
+
+    return under_top
 
 
 @dataclass(frozen=True)

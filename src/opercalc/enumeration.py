@@ -11,10 +11,10 @@ absolute value, which truncates the search.  A listing is refused past
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import HNPolygon, polygon_from_quotient_data, shatz_leq
+from .core import HNPolygon, dominated_by, polygon_from_quotient_data
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
@@ -136,17 +136,13 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
 class MaximalityReport:
     r: int
     g: int
-    polygons: tuple[HNPolygon, ...] = field(repr=False)
+    count: int
     oper_polygon_present: bool
     counterexamples: tuple[HNPolygon, ...]
 
     @property
     def all_dominated(self) -> bool:
         return not self.counterexamples
-
-    @property
-    def count(self) -> int:
-        return len(self.polygons)
 
     @property
     def unique_maximum(self) -> bool:
@@ -171,11 +167,12 @@ def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
     itself admissible, hence the unique admissible maximum."""
     polys = enumerate_admissible(r, g)
     top = oper_polygon(r, g)
-    counterexamples = tuple(p for p in polys if not shatz_leq(p, top))
+    under_top = dominated_by(top)
+    counterexamples = tuple(p for p in polys if not under_top(p))
     return MaximalityReport(
         r=r,
         g=g,
-        polygons=polys,
+        count=len(polys),
         oper_polygon_present=top in polys,
         counterexamples=counterexamples,
     )

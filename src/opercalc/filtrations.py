@@ -14,14 +14,11 @@ from typing import Iterator, NamedTuple
 
 from .core import BundleNumerics, CurveParams
 
-# The exhaustive score search walks every profile of the weight: 204 226 at
-# w=50, about 1 s.  Every cap is admitted up to w=51 (239 943 profiles at
-# full cap); w=52 has 281 589.
-MAX_PROFILES = 250_000
-# Each profile has up to w parts, so few but long profiles cost as much:
-# profiles times w is bounded too.  This admits w=51 at full cap
-# (12 237 093), w=4999 at cap 2 (about 2 s) and w=12 500 000 at cap 1
-# (about 5 s and 400 MB).
+# The exhaustive score search walks every profile of the weight, each of up
+# to w parts, so profiles times w is bounded: MAX_PARTS // w is the most
+# profiles admitted.  This admits every cap up to w=51 (239 943 profiles at
+# full cap, about 1 s) and refuses w=52 at full cap (281 589); it admits
+# w=4999 at cap 2 (about 2 s) and w=12 500 000 at cap 1 (about 5 s and 400 MB).
 MAX_PARTS = 12_500_000
 
 
@@ -95,20 +92,21 @@ def _partitions(w: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 def _profile_count(w: int, cap: int) -> int:
-    """Number of weight-w profiles with parts <= cap, or ``MAX_PROFILES + 1``
-    once it exceeds :data:`MAX_PROFILES`.  After part ``k``, ``ways[s]``
+    """Number of weight-w profiles with parts <= cap, or ``MAX_PARTS // w + 1``
+    once it exceeds ``MAX_PARTS // w``.  After part ``k``, ``ways[s]``
     counts the profiles of weight ``s`` with parts <= k."""
+    limit = MAX_PARTS // w
     cap = min(cap, w)
     if cap == 1:
         return 1
-    if w // 2 + 1 > MAX_PROFILES:  # the profiles 2^j 1^(w-2j) alone
-        return MAX_PROFILES + 1
+    if w // 2 + 1 > limit:  # the profiles 2^j 1^(w-2j) alone
+        return limit + 1
     ways = [1] + [0] * w
     for part in range(1, cap + 1):
         for s in range(part, w + 1):
             ways[s] += ways[s - part]
-        if ways[w] > MAX_PROFILES:
-            return MAX_PROFILES + 1
+        if ways[w] > limit:
+            return limit + 1
     return ways[w]
 
 
@@ -119,20 +117,16 @@ def max_score_brute_force(
 
     Iterates over all lengths 1..w.  Returns the maximum and every
     maximizer, sorted.  Independent oracle for the closed form.  Refuses,
-    before walking any, more than :data:`MAX_PROFILES` profiles, or more
-    than :data:`MAX_PARTS` profiles times w.
+    before walking any, more than :data:`MAX_PARTS` profiles times w.
     """
     if w < 1:
         raise ValueError(f"weight must be >= 1, got {w}")
     if q < 1:
         raise ValueError(f"cap must be >= 1, got {q}")
-    count = _profile_count(w, q)
-    if count > MAX_PROFILES:
-        raise ValueError(f"weight {w} cap {q} has more than MAX_PROFILES = {MAX_PROFILES} "
-                         "profiles; refusing the exhaustive search")
-    if count * w > MAX_PARTS:
-        raise ValueError(f"weight {w} cap {q} needs up to {count * w} profile parts, more "
-                         f"than MAX_PARTS = {MAX_PARTS}; refusing the exhaustive search")
+    if _profile_count(w, q) * w > MAX_PARTS:
+        raise ValueError(f"weight {w} cap {q}: more than {MAX_PARTS // w} profiles, so "
+                         f"profiles times weight is more than MAX_PARTS = {MAX_PARTS}; "
+                         "refusing the exhaustive search")
     best = -1
     argmax: list[FiltrationProfile] = []
     for parts in _partitions(w, q):

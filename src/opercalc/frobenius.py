@@ -43,14 +43,13 @@ def hirschowitz_bound(n: int, d: int, m: int, g: int) -> tuple[int, Fraction]:
 
 @dataclass(frozen=True)
 class QuotProblem:
-    """Rank-r subsheaves of fixed degree inside the pushforward of Q.
+    """Rank-r subsheaves of degree 0 inside the pushforward of Q.
 
     The standing range is q < r < pq with q = rk(Q).
     """
 
     Q: BundleNumerics
     r: int
-    target_degree: int
     curve: CurveParams
 
     def __post_init__(self) -> None:
@@ -82,8 +81,6 @@ class QuotCertificate:
 
 def quot_nonempty(problem: QuotProblem) -> QuotCertificate:
     """Non-emptiness of the degree-0 subsheaf problem, with certificate."""
-    if problem.target_degree != 0:
-        raise ValueError("non-emptiness certificate applies to target degree 0")
     p, g = problem.curve.p, problem.curve.g
     q, r = problem.Q.rank, problem.r
     if problem.Q.degree < -(r - q) * (g - 1):
@@ -207,7 +204,7 @@ def maxdegree_certificate(
         failed.append(f"p > r(r-1)(g-1) fails: p={p}, r(r-1)(g-1)={r*(r-1)*(g-1)}")
     if failed:
         return MaxDegreeCertificate(hypotheses_met=False, failed_hypotheses=tuple(failed))
-    cert = quot_nonempty(QuotProblem(Q, r, 0, curve))
+    cert = quot_nonempty(QuotProblem(Q, r, curve))
     # p > r(r-1)(g-1) makes the closed-form bound with w = r strictly
     # smaller than mu(Q)/p + 1/r < 1/r, hence every rank-r subbundle has
     # slope <= 0, while the certificate exhibits one of slope exactly 0.

@@ -86,10 +86,10 @@ def _oper_dimensions(r: int, g: int) -> bool:
 def _quot_dimension_cases() -> Iterable[tuple[QuotProblem, int]]:
     # the general lower-bound formula reproduces the rank-2 family value 2d
     for g, d in itertools.product(range(2, 6), range(0, 6)):
-        yield QuotProblem(BundleNumerics(1, -(g - 1) + d), 2, 0, CurveParams(g, 3)), 2 * d
+        yield QuotProblem(BundleNumerics(1, -(g - 1) + d), 2, CurveParams(g, 3)), 2 * d
     # the canonical problem has expected dimension exactly 0
     for r, g in itertools.product(range(2, 7), range(2, 6)):
-        yield QuotProblem(BundleNumerics(1, -(r - 1) * (g - 1)), r, 0, CurveParams(g, 11)), 0
+        yield QuotProblem(BundleNumerics(1, -(r - 1) * (g - 1)), r, CurveParams(g, 11)), 0
 
 
 def _hirschowitz_congruence(n: int, g: int, d: int, m: int) -> bool:
@@ -106,7 +106,7 @@ def _quot_nonempty_cases() -> Iterable[tuple[int, int, int, int, int]]:
 
 
 def _quot_certified(q: int, r: int, p: int, g: int, deg: int) -> bool:
-    cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, 0, CurveParams(g, p)))
+    cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, CurveParams(g, p)))
     return cert.hypothesis_met and cert.nonempty and cert.slope_lower_bound >= 0
 
 

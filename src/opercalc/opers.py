@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import BundleNumerics, CurveParams, HNPolygon
 
@@ -13,24 +13,15 @@ class OperShape:
 
     The underlying bundle has rank ``rk(Q) * l`` and degree
     ``l (deg(Q) + rk(Q)(l-1)(g-1))``; both are derived, never stored.
-    With ``strict_char_divisibility`` the construction additionally insists
-    that the degree is divisible by the characteristic (the necessary
-    condition for the bundle to carry a connection in characteristic p).
     """
 
     quotient: BundleNumerics
     length: int
     curve: CurveParams
-    strict_char_divisibility: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.strict_char_divisibility and self.curve.p > 0:
-            if self.degree % self.curve.p != 0:
-                raise ValueError(
-                    f"degree {self.degree} not divisible by characteristic {self.curve.p}"
-                )
 
     @property
     def type(self) -> int:

@@ -84,8 +84,9 @@ def test_criterion_4_dominance_theorem():
         report = verify_oper_maximality(r, g)
         ok = ok and report.passed and report.unique_maximum
         ok = ok and enumerate_admissible(r, g) == enumerate_admissible_slow(r, g)
-    for r in (6, 7):
-        report = verify_oper_maximality(r, 2)
+    # the slow oracle at these four is in test_slow_oracle_agrees
+    for r, g in itertools.product((6, 7), (2, 3)):
+        report = verify_oper_maximality(r, g)
         ok = ok and report.passed and report.unique_maximum
     _report(4, "oper polygon dominance", ok)
 

@@ -124,6 +124,11 @@ class TestCalculatorCommands:
         assert code == 0
         assert "1/3" in out
 
+    @pytest.mark.parametrize("char, code", [(2**61 - 1, 0), (318_665_857_834_031_151_167_461, 2)])
+    def test_pushforward_decides_a_large_characteristic(self, capture, char, code):
+        argv = ("pushforward", "--rank", "1", "--degree", "0", "--genus", "2", "--char")
+        assert capture(*argv, str(char))[0] == code
+
     def test_hirschowitz_json(self, capture):
         code, out, _ = capture(
             "hirschowitz", "--n", "2", "--d", "0", "--m", "1", "--genus", "2",
@@ -168,11 +173,10 @@ class TestCalculatorCommands:
         code, out, err = capture("optimize", "--weight", "4", "--cap", "0", *oracle)
         assert (code, out, err) == (2, "", "error: cap must be >= 1, got 0\n")
 
-    def test_optimize_oracle_refuses_past_the_profile_limit(self, capture, monkeypatch):
-        monkeypatch.setattr("opercalc.filtrations.MAX_PROFILES", 4)
-        code, out, err = capture("optimize", "--weight", "6", "--cap", "6", "--oracle")
+    def test_optimize_oracle_refuses_past_the_profile_limit(self, capture):
+        code, out, err = capture("optimize", "--weight", "200", "--cap", "200", "--oracle")
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "MAX_PROFILES = 4" in err
+        assert err.startswith("error: ") and "MAX_PARTS = 12500000" in err
 
     def test_sun_bound_cap_option_is_gone(self, capture):
         code, out, _ = capture(

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from opercalc import (
     shatz_leq,
     strata_poset,
 )
+from opercalc.core import _is_prime
 
 
 def _below(a: HNPolygon, b: HNPolygon) -> bool:
@@ -134,6 +136,31 @@ class TestCurveParams:
 
     def test_characteristic_zero_allowed(self):
         assert CurveParams(3).p == 0
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(30_000) if _is_prime(n)] == [
+            n for n in range(30_000) if trial(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n", [3_215_031_751, 2_152_302_898_747, 3_474_749_660_383, 341_550_071_728_321]
+    )
+    def test_rejects_strong_pseudoprimes(self, n):
+        # the least strong pseudoprimes to the bases 2..7, 2..11, 2..13, 2..17
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="must be prime"):
+            CurveParams(2, n)
+
+    def test_accepts_a_large_prime(self):
+        assert CurveParams(2, 2**61 - 1).p == 2**61 - 1
+
+    def test_refuses_past_the_exact_range(self):
+        # the least strong pseudoprime to every prime base up to 37
+        with pytest.raises(ValueError, match="exact only below 318665857834031151167461"):
+            CurveParams(2, 318_665_857_834_031_151_167_461)
 
 
 class TestBundleNumerics:

@@ -100,7 +100,7 @@ class TestEnumerateAdmissible:
     def test_slow_oracle_agrees(self):
         cases = [
             *itertools.product(range(2, 6), (2, 3)),
-            (6, 2), (3, 4), (4, 4), (6, 3), (7, 2),
+            (6, 2), (3, 4), (4, 4), (6, 3), (7, 2), (7, 3),
         ]
         for r, g in cases:
             assert enumerate_admissible(r, g) == enumerate_admissible_slow(r, g)
@@ -128,10 +128,8 @@ class TestVerifyOperMaximality:
         assert not report.counterexamples
 
     @pytest.mark.parametrize("r, g", [(3, 2), (5, 2), (4, 3)])
-    def test_report_keeps_the_polygons_it_checked(self, r, g):
-        report = verify_oper_maximality(r, g)
-        assert report.polygons == enumerate_admissible(r, g)
-        assert report.count == len(report.polygons)
+    def test_report_counts_the_polygons_it_checked(self, r, g):
+        assert verify_oper_maximality(r, g).count == len(enumerate_admissible(r, g))
 
     @pytest.mark.parametrize(
         "r, g", [(r, 2) for r in range(2, 6)] + [(r, 3) for r in range(2, 5)]

@@ -17,7 +17,7 @@ from opercalc import (
     sun_bound,
     worst_case_subbundle_slope_bound,
 )
-from opercalc.filtrations import MAX_PROFILES, _partitions, _profile_count, sun_gap_term
+from opercalc.filtrations import MAX_PARTS, _partitions, _profile_count, sun_gap_term
 
 
 def recursive_partitions(w, cap, prefix=()):
@@ -95,8 +95,11 @@ class TestMaxScore:
         for w in range(1, 16):
             for q in range(1, w + 2):
                 assert _profile_count(w, q) == sum(1 for _ in _partitions(w, q))
+        # p(51) = 239 943 <= MAX_PARTS // 51 = 245 098 < p(52) = 281 589
         assert _profile_count(50, 50) == 204_226
-        assert _profile_count(200, 200) == _profile_count(10**9, 2) == MAX_PROFILES + 1
+        assert _profile_count(51, 51) == 239_943
+        for w, q in ((52, 52), (200, 200), (5000, 2), (10**9, 2)):
+            assert _profile_count(w, q) == MAX_PARTS // w + 1
         assert _profile_count(10**9, 1) == 1
 
     def test_partitions_in_the_order_of_the_recursive_walk(self):
@@ -110,15 +113,19 @@ class TestMaxScore:
         # weight 6 cap 3 has 7 profiles of up to 6 parts
         monkeypatch.setattr("opercalc.filtrations.MAX_PARTS", 42)
         assert max_score_brute_force(6, 3)[0] == 15
-        with pytest.raises(ValueError, match="up to 56 profile parts, more than MAX_PARTS = 42"):
+        with pytest.raises(ValueError, match="weight 7 cap 3: more than 6 profiles, .* = 42"):
             max_score_brute_force(7, 3)
 
     def test_refuses_past_the_profile_limit(self, monkeypatch):
-        # weight 6 has 11 profiles, 7 of them with parts <= 3
-        monkeypatch.setattr("opercalc.filtrations.MAX_PROFILES", 7)
-        assert max_score_brute_force(6, 3)[0] == 15
-        with pytest.raises(ValueError, match="more than MAX_PROFILES = 7"):
-            max_score_brute_force(6, 4)
+        # MAX_PARTS // w profiles is the limit, and the count stops past it:
+        # weight 52 has 281 589 profiles, more than 12 500 000 // 52 = 240 384
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr("opercalc.filtrations._partitions", no_walk)
+        for w, q in ((52, 52), (200, 200), (10**9, 2)):
+            with pytest.raises(ValueError, match=f"weight {w} cap {q}: .* MAX_PARTS = 12500000"):
+                max_score_brute_force(w, q)
 
 
 class TestSunBound:

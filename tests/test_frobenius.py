@@ -67,23 +67,23 @@ class TestHirschowitzBound:
 class TestQuotProblem:
     def test_enforces_rank_range(self):
         with pytest.raises(ValueError):
-            QuotProblem(BundleNumerics(2, 0), 2, 0, CurveParams(2, 3))
+            QuotProblem(BundleNumerics(2, 0), 2, CurveParams(2, 3))
         with pytest.raises(ValueError):
-            QuotProblem(BundleNumerics(1, 0), 3, 0, CurveParams(2, 3))
+            QuotProblem(BundleNumerics(1, 0), 3, CurveParams(2, 3))
 
 
 class TestQuotNonempty:
     def test_boundary_case_met(self):
-        cert = quot_nonempty(QuotProblem(BundleNumerics(1, -1), 2, 0, CurveParams(2, 3)))
+        cert = quot_nonempty(QuotProblem(BundleNumerics(1, -1), 2, CurveParams(2, 3)))
         assert cert.hypothesis_met and cert.nonempty
         assert cert.slope_lower_bound >= 0
 
     def test_second_example(self):
-        cert = quot_nonempty(QuotProblem(BundleNumerics(1, -2), 3, 0, CurveParams(2, 5)))
+        cert = quot_nonempty(QuotProblem(BundleNumerics(1, -2), 3, CurveParams(2, 5)))
         assert cert.hypothesis_met and cert.nonempty
 
     def test_hypothesis_not_met_is_not_a_disproof(self):
-        cert = quot_nonempty(QuotProblem(BundleNumerics(1, -3), 2, 0, CurveParams(2, 3)))
+        cert = quot_nonempty(QuotProblem(BundleNumerics(1, -3), 2, CurveParams(2, 3)))
         assert not cert.hypothesis_met
         assert cert.nonempty is None
 
@@ -93,7 +93,7 @@ class TestQuotNonempty:
                 lo = -(r - q) * (g - 1)
                 for deg in range(lo, lo + 8):
                     cert = quot_nonempty(
-                        QuotProblem(BundleNumerics(q, deg), r, 0, CurveParams(g, p))
+                        QuotProblem(BundleNumerics(q, deg), r, CurveParams(g, p))
                     )
                     assert cert.hypothesis_met
                     assert cert.slope_lower_bound >= 0
@@ -103,7 +103,7 @@ class TestQuotNonempty:
         # residue r[deg(Q)+(r-q)(g-1)] decides the branch
         p, g, q, r = 3, 2, 1, 2
         for deg in range(-1, 6):
-            cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, 0, CurveParams(g, p)))
+            cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, CurveParams(g, p)))
             e = r * (deg + (r - q) * (g - 1))
             assert cert.case == (1 if e <= p * q - 1 else 2)
 
@@ -114,23 +114,23 @@ class TestQuotDimLowerBound:
         [(1, 3, 2, -2, 0), (1, 2, 2, -1, 0), (1, 2, 3, -1, 2)],
     )
     def test_examples(self, q, r, g, deg, expected):
-        problem = QuotProblem(BundleNumerics(q, deg), r, 0, CurveParams(g, 5))
+        problem = QuotProblem(BundleNumerics(q, deg), r, CurveParams(g, 5))
         assert quot_dim_lower_bound(problem) == expected
 
     def test_rank_two_family_gives_twice_d(self):
         for g, d in itertools.product(range(2, 6), range(0, 6)):
-            problem = QuotProblem(BundleNumerics(1, -(g - 1) + d), 2, 0, CurveParams(g, 3))
+            problem = QuotProblem(BundleNumerics(1, -(g - 1) + d), 2, CurveParams(g, 3))
             assert quot_dim_lower_bound(problem) == 2 * d
 
     def test_canonical_problem_is_zero(self):
         for r, g in itertools.product(range(2, 7), range(2, 6)):
             problem = QuotProblem(
-                BundleNumerics(1, -(r - 1) * (g - 1)), r, 0, CurveParams(g, 11)
+                BundleNumerics(1, -(r - 1) * (g - 1)), r, CurveParams(g, 11)
             )
             assert quot_dim_lower_bound(problem) == 0
 
     def test_negative_bounds_returned_verbatim(self):
-        problem = QuotProblem(BundleNumerics(1, -9), 2, 0, CurveParams(2, 3))
+        problem = QuotProblem(BundleNumerics(1, -9), 2, CurveParams(2, 3))
         assert quot_dim_lower_bound(problem) == 2 * (1 - 9)
 
 

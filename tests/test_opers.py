@@ -34,17 +34,6 @@ class TestOperShape:
         assert shape.length == 4
         assert shape.quotient == BundleNumerics(1, -6)
 
-    def test_strict_divisibility_mode(self):
-        # degree p(0 + 1*(p-1)(g-1)) is always divisible by p, so l=p passes
-        OperShape(
-            BundleNumerics(1, 0), 5, CurveParams(2, 5), strict_char_divisibility=True
-        )
-        with pytest.raises(ValueError):
-            OperShape(
-                BundleNumerics(1, 1), 2, CurveParams(2, 5),
-                strict_char_divisibility=True,
-            )
-
 
 class TestOperPolygon:
     @pytest.mark.parametrize(
