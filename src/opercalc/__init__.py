@@ -21,7 +21,6 @@ _EXPORTS = {
             "PosetDescription",
             "format_rational",
             "polygon_from_quotient_data",
-            "rational_from_json",
             "rational_to_json",
             "shatz_leq",
             "strata_poset",

@@ -30,7 +30,7 @@ from .core import (
     rational_to_json,
     strata_poset,
 )
-from .enumeration import enumerate_admissible, verify_oper_maximality
+from .enumeration import enumerate_admissible, iter_admissible, verify_oper_maximality
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
@@ -215,7 +215,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
-    poset = strata_poset(enumerate_admissible(args.rank, args.genus))
+    poset = strata_poset(iter_admissible(args.rank, args.genus))
     elements = [_breakpoints_cell(p) for p in poset.elements]
     emit(
         args.format,

@@ -53,13 +53,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _require_integers(**values: object) -> None:
+    """Raise ``ValueError`` unless every value is an integer to
+    :func:`operator.index`, so that no float or string reaches the arithmetic."""
+    for name, value in values.items():
+        try:
+            index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def rational_to_json(x: Fraction) -> dict:
     """Serialize an exact rational as decimal strings (arbitrary precision)."""
     return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def rational_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def format_rational(x: Fraction) -> str:
@@ -81,6 +87,7 @@ class CurveParams:
     p: int = 0
 
     def __post_init__(self) -> None:
+        _require_integers(genus=self.g, characteristic=self.p)
         if self.g < 2:
             raise ValueError(f"genus must be >= 2, got {self.g}")
         if self.p < 0:
@@ -94,7 +101,7 @@ class CurveParams:
         return self.p
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BundleNumerics:
     """Discrete invariants of a bundle: (rank, degree) with exact slope."""
 
@@ -102,6 +109,7 @@ class BundleNumerics:
     degree: int
 
     def __post_init__(self) -> None:
+        _require_integers(rank=self.rank, degree=self.degree)
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
@@ -110,7 +118,7 @@ class BundleNumerics:
         return Fraction(self.degree, self.rank)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HNPolygon:
     """Strictly convex polygon with integer breakpoints, starting at (0, 0).
 
@@ -151,10 +159,6 @@ class HNPolygon:
         return self.breakpoints[-1][0]
 
     @property
-    def total_degree(self) -> int:
-        return self.breakpoints[-1][1]
-
-    @property
     def endpoint(self) -> tuple[int, int]:
         return self.breakpoints[-1]
 
@@ -179,7 +183,9 @@ class HNPolygon:
         return tuple(reversed(segs))
 
     def value_at(self, x: int | Fraction) -> Fraction:
-        """Piecewise-linear interpolation at ``x``, exact."""
+        """Piecewise-linear interpolation at an ``int`` or ``Fraction`` ``x``, exact."""
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"abscissa must be an int or a Fraction, got {x!r}")
         x = Fraction(x)
         if x < 0 or x > self.total_rank:
             raise ValueError(f"abscissa {x} outside [0, {self.total_rank}]")
@@ -292,18 +298,20 @@ def strata_poset(polygons: Iterable[HNPolygon]) -> PosetDescription:
     has strictly smaller area), so the lowest bit above ``i`` that no cover
     found so far lies below is the next cover of ``i``.
 
-    More than :data:`STRATA_MAX_ELEMENTS` distinct polygons raise
-    ``ValueError`` before any dominance set is built.
+    ``polygons`` is read up to the :data:`STRATA_MAX_ELEMENTS` + 1st distinct
+    one, which raises ``ValueError`` before any dominance set is built.
     """
-    elements = tuple(sorted(set(polygons), key=lambda p: p.breakpoints))
-    n = len(elements)
-    if n > STRATA_MAX_ELEMENTS:
-        raise ValueError(
-            f"strata_poset got {n} polygons, above the limit of {STRATA_MAX_ELEMENTS}; "
-            f"their dominance sets would take {n}² bits ({n ** 2 // 8_000_000} MB) of memory"
-        )
-    if not elements:
+    distinct: set[HNPolygon] = set()
+    for p in polygons:
+        distinct.add(p)
+        if (n := len(distinct)) > STRATA_MAX_ELEMENTS:
+            raise ValueError(
+                f"strata_poset got {n} polygons, above the limit of {STRATA_MAX_ELEMENTS}; "
+                f"their dominance sets would take {n}² bits ({n ** 2 // 8_000_000} MB) of memory"
+            )
+    if not distinct:
         return PosetDescription((), ())
+    elements = tuple(sorted(distinct, key=lambda p: p.breakpoints))  # the loop left n = len(distinct)
     endpoint = elements[0].endpoint
     for p in elements:
         if p.endpoint != endpoint:

@@ -5,13 +5,15 @@ A degree-0 rank-r polygon is admissible when successive quotient slopes
 differ by at most 2g-2 (the slope-gap constraint for semistable local
 systems).  Admissible polygons of fixed rank form a finite set; the gap
 constraint together with degree 0 bounds every slope by (l-1)(2g-2) in
-absolute value, which truncates the search.  A listing is refused past
-:data:`MAX_POLYGONS` polygons, a count that grows with both r and g.
+absolute value, which truncates the search.  :func:`iter_admissible` has no
+limit; listings and checks stop after :data:`MAX_POLYGONS` + 1 polygons (a
+count that grows with r and g), ``strata_poset`` after ``STRATA_MAX_ELEMENTS`` + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .core import HNPolygon, dominated_by, polygon_from_quotient_data
@@ -32,13 +34,12 @@ def _complete(
     g: int,
     pts: list[tuple[int, int]],
     prev: tuple[int, int] | None,
-    out: list[HNPolygon],
-) -> None:
-    """Extend a partial breakpoint chain ending at pts[-1] to (r, 0).
+) -> Iterator[HNPolygon]:
+    """Yield each completion of the breakpoint chain ending at pts[-1] to (r, 0).
 
     ``prev`` is the slope of the last segment as an integer pair
     ``(rise, run)`` with ``run > 0``, or None at the origin.  Chains are
-    found in increasing lexicographic order of their breakpoints, each once.
+    yielded in increasing lexicographic order of their breakpoints, each once.
     """
     x, y = pts[-1]
     gap = 2 * g - 2
@@ -55,9 +56,7 @@ def _complete(
             y2_lo = y - ((gap * run - rise) * dx) // run
         if x2 == r:
             if y2_lo <= 0 <= y2_hi:
-                if len(out) == MAX_POLYGONS:
-                    raise _too_many(r, g)
-                out.append(HNPolygon(tuple(pts) + ((r, 0),)))
+                yield HNPolygon(tuple(pts) + ((r, 0),))
             continue
         rest = r - x2
         for y2 in range(max(1, y2_lo), y2_hi + 1):
@@ -68,13 +67,12 @@ def _complete(
             if not (s_scaled - gap * dx * rest * rest <= -y2 * dx < s_scaled):
                 continue
             pts.append((x2, y2))
-            _complete(r, g, pts, (y2 - y, dx), out)
+            yield from _complete(r, g, pts, (y2 - y, dx))
             pts.pop()
 
 
-def enumerate_admissible(r: int, g: int) -> tuple[HNPolygon, ...]:
-    """Every admissible degree-0 rank-r polygon, including the trivial
-    segment, in canonical order; ValueError past :data:`MAX_POLYGONS`."""
+def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
+    """Each admissible degree-0 rank-r polygon in canonical order; checks r, g when called."""
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
     if g < 2:
@@ -85,9 +83,15 @@ def enumerate_admissible(r: int, g: int) -> tuple[HNPolygon, ...]:
     # over r abscissae: it would not finish at ranks in the thousands.
     if r // 2 - 1 >= MAX_POLYGONS.bit_length():
         raise _too_many(r, g)
-    out: list[HNPolygon] = []
-    _complete(r, g, [(0, 0)], None, out)
-    return tuple(out)
+    return _complete(r, g, [(0, 0)], None)
+
+
+def enumerate_admissible(r: int, g: int) -> tuple[HNPolygon, ...]:
+    """:func:`iter_admissible` as a tuple; ValueError past :data:`MAX_POLYGONS`."""
+    polys = tuple(islice(iter_admissible(r, g), MAX_POLYGONS + 1))
+    if len(polys) > MAX_POLYGONS:
+        raise _too_many(r, g)
+    return polys
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -164,17 +168,23 @@ class MaximalityReport:
 
 def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
     """Check that the oper polygon dominates every admissible polygon and is
-    itself admissible, hence the unique admissible maximum."""
-    polys = enumerate_admissible(r, g)
+    itself admissible, hence the unique admissible maximum, holding no list."""
+    polys = iter_admissible(r, g)  # checks r and g before oper_polygon builds
     top = oper_polygon(r, g)
     under_top = dominated_by(top)
-    counterexamples = tuple(p for p in polys if not under_top(p))
+    count, present, counterexamples = 0, False, []
+    for count, p in enumerate(polys, 1):
+        if count > MAX_POLYGONS:
+            raise _too_many(r, g)
+        present = present or p == top
+        if not under_top(p):
+            counterexamples.append(p)
     return MaximalityReport(
         r=r,
         g=g,
-        count=len(polys),
-        oper_polygon_present=top in polys,
-        counterexamples=counterexamples,
+        count=count,
+        oper_polygon_present=present,
+        counterexamples=tuple(counterexamples),
     )
 
 

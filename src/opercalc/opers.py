@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BundleNumerics, CurveParams, HNPolygon
+from .core import BundleNumerics, CurveParams, HNPolygon, _require_integers
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,6 @@ class OperShape:
     def degree(self) -> int:
         q, l, g = self.quotient, self.length, self.curve.g
         return l * (q.degree + q.rank * (l - 1) * (g - 1))
-
-    @property
-    def bundle(self) -> BundleNumerics:
-        return BundleNumerics(self.rank, self.degree)
 
     @classmethod
     def degree_zero_type_one(cls, r: int, curve: CurveParams) -> "OperShape":
@@ -85,6 +81,7 @@ def dormant_sum_identity(r: int, g: int) -> bool:
 
 def threshold_C(r: int, g: int) -> int:
     """The characteristic threshold r(r-1)(r-2)(g-1)."""
+    _require_integers(rank=r, genus=g)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     return r * (r - 1) * (r - 2) * (g - 1)
@@ -93,6 +90,7 @@ def threshold_C(r: int, g: int) -> int:
 def oper_space_dimensions(r: int, g: int) -> tuple[int, int]:
     """Dimensions of the space of pluricanonical sections and of the oper
     space; both equal (g-1)(r^2 - 1), so the pair is always equal."""
+    _require_integers(rank=r, genus=g)
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
     if g < 2:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from opercalc import HNPolygon, enumerate_admissible
+from opercalc import HNPolygon, enumerate_admissible, enumeration
 from opercalc.cli import _cell, run
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
@@ -245,9 +245,29 @@ class TestEnumerateCommand:
         assert out == ""
         assert "5 polygons, above the limit of 4" in err
 
-    @pytest.mark.parametrize("extra", [
-        ("enumerate",), ("enumerate", "--verify"), ("strata",),
-    ])
+    def test_strata_reads_no_polygon_past_its_own_limit(self, capture, monkeypatch):
+        yielded = set()  # every level of the recursion passes each polygon up
+        complete = enumeration._complete
+
+        def counted(*args):
+            for poly in complete(*args):
+                yielded.add(poly)
+                yield poly
+
+        monkeypatch.setattr("opercalc.core.STRATA_MAX_ELEMENTS", 4)
+        monkeypatch.setattr(enumeration, "_complete", counted)
+        code, out, err = capture("strata", "--rank", "5", "--genus", "3")
+        assert (code, out) == (2, "")
+        assert "5 polygons, above the limit of 4" in err
+        assert len(yielded) == 5  # of the 237 at rank 5 genus 3
+
+    def test_strata_is_not_bound_by_the_polygon_limit(self, capture, monkeypatch):
+        monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)
+        code, out, _ = capture("strata", "--rank", "3", "--genus", "2", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["elements"]) == 5
+
+    @pytest.mark.parametrize("extra", [("enumerate",), ("enumerate", "--verify")])
     def test_refuses_past_the_polygon_limit(self, capture, monkeypatch, extra):
         monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)
         code, out, err = capture(*extra, "--rank", "3", "--genus", "2")

@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -12,9 +13,12 @@ from opercalc import (
     PosetDescription,
     enumerate_admissible,
     oper_polygon,
+    oper_space_dimensions,
     polygon_from_quotient_data,
+    pushforward_numerics,
     shatz_leq,
     strata_poset,
+    threshold_C,
 )
 from opercalc.core import _is_prime
 
@@ -123,6 +127,35 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
     return st.lists(
         st.integers(min_value=-6, max_value=6), min_size=rank, max_size=rank
     ).map(build)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CurveParams(2.0, 3),
+    lambda: CurveParams(2, 3.0),
+    lambda: BundleNumerics(1, 0.5),
+    lambda: BundleNumerics(1.0, 0),
+    lambda: pushforward_numerics(BundleNumerics(1, 0.5), CurveParams(2, 3)),
+    lambda: oper_polygon(3, 2).value_at(0.1),
+    lambda: oper_polygon(3, 2).value_at("1/2"),
+    lambda: threshold_C(4, 2.5),
+    lambda: threshold_C(4.0, 2),
+    lambda: oper_space_dimensions(3, 2.5),
+], ids=["curve-genus", "curve-char", "bundle-degree", "bundle-rank", "pushforward",
+        "value-at-float", "value-at-str", "threshold-genus", "threshold-rank", "dimensions"])
+def test_rejects_a_non_integer_input(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("a, b", [
+    (HNPolygon.trivial(3), oper_polygon(3, 2)),
+    (BundleNumerics(1, 0), BundleNumerics(2, 1)),
+], ids=["polygon", "bundle"])
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_no_order_but_the_shatz_order(a, b, compare):
+    # a lexicographic order on fields would not be dominance; shatz_leq decides that
+    with pytest.raises(TypeError):
+        compare(a, b)
 
 
 class TestCurveParams:

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 from opercalc import enumeration
+from opercalc.enumeration import iter_admissible
 from opercalc import (
     HNPolygon,
     enumerate_admissible,
@@ -87,8 +89,9 @@ class TestEnumerateAdmissible:
 
         monkeypatch.setattr(enumeration, "_complete", no_search)
         for r in (38, 10**9):
-            with pytest.raises(ValueError, match="MAX_POLYGONS = 250000"):
-                enumerate_admissible(r, 2)
+            for search in (iter_admissible, enumerate_admissible, verify_oper_maximality):
+                with pytest.raises(ValueError, match="MAX_POLYGONS = 250000"):
+                    search(r, 2)
 
     def test_gap_constraints_hold(self):
         gap = 2 * 3 - 2
@@ -130,6 +133,23 @@ class TestVerifyOperMaximality:
     @pytest.mark.parametrize("r, g", [(3, 2), (5, 2), (4, 3)])
     def test_report_counts_the_polygons_it_checked(self, r, g):
         assert verify_oper_maximality(r, g).count == len(enumerate_admissible(r, g))
+
+    def test_reads_to_the_listing_limit(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "MAX_POLYGONS", 5)
+        assert verify_oper_maximality(3, 2).count == 5
+        monkeypatch.setattr(enumeration, "MAX_POLYGONS", 4)
+        with pytest.raises(ValueError, match="rank 3 genus 2 .*MAX_POLYGONS = 4"):
+            verify_oper_maximality(3, 2)
+
+    def test_holds_no_polygon_list(self):
+        tracemalloc.start()
+        try:
+            report = verify_oper_maximality(7, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.passed, report.count) == (True, 5767)
+        assert peak < 1_000_000  # a tuple of the 5767 polygons peaks at about 3 MB
 
     @pytest.mark.parametrize(
         "r, g", [(r, 2) for r in range(2, 6)] + [(r, 3) for r in range(2, 5)]

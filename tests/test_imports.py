@@ -27,10 +27,9 @@ PUBLIC_NAMES = [
     "maxdegree_certificate", "oper_polygon", "oper_quotient_degrees",
     "oper_space_dimensions", "oper_subbundle_slope_bound", "opers",
     "polygon_from_quotient_data", "profile_score", "pushforward_numerics",
-    "quot_dim_lower_bound", "quot_nonempty", "rational_from_json", "rational_to_json",
-    "rearrangement_check", "shatz_leq", "strata_poset", "sun_bound", "threshold_C",
-    "verify_oper_maximality", "verify_target_inequalities",
-    "worst_case_subbundle_slope_bound",
+    "quot_dim_lower_bound", "quot_nonempty", "rational_to_json", "rearrangement_check",
+    "shatz_leq", "strata_poset", "sun_bound", "threshold_C", "verify_oper_maximality",
+    "verify_target_inequalities", "worst_case_subbundle_slope_bound",
 ]
 
 
