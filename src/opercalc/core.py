@@ -13,7 +13,6 @@ of the public API still return ``Fraction`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import lcm
@@ -75,25 +74,69 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and sets each once, through
+    ``object.__setattr__``, in an ``__init__`` that runs its checks first.
+    Equality needs the exact class and equal field values, the hash is that of
+    the field values, and the repr reads ``Name(field=value, ...)``.
+    Assigning or deleting a field raises ``AttributeError``.  Copies and
+    pickles are rebuilt through the constructor, so its checks run again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]  # every slot of the class, base classes first
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(name for klass in reversed(cls.__mro__)
+                            for name in klass.__dict__.get("__slots__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class CurveParams(_Value):
     """Ambient arithmetic context: genus and characteristic.
 
     ``p = 0`` is allowed for characteristic-zero formulas that never
     mention the characteristic; positive ``p`` must be prime.
     """
 
-    g: int
-    p: int = 0
+    __slots__ = ("g", "p")
 
-    def __post_init__(self) -> None:
-        _require_integers(genus=self.g, characteristic=self.p)
-        if self.g < 2:
-            raise ValueError(f"genus must be >= 2, got {self.g}")
-        if self.p < 0:
-            raise ValueError(f"characteristic must be >= 0, got {self.p}")
-        if self.p > 0 and not _is_prime(self.p):
-            raise ValueError(f"positive characteristic must be prime, got {self.p}")
+    def __init__(self, g: int, p: int = 0) -> None:
+        _require_integers(genus=g, characteristic=p)
+        if g < 2:
+            raise ValueError(f"genus must be >= 2, got {g}")
+        if p < 0:
+            raise ValueError(f"characteristic must be >= 0, got {p}")
+        if p > 0 and not _is_prime(p):
+            raise ValueError(f"positive characteristic must be prime, got {p}")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "p", p)
 
     def require_positive_char(self) -> int:
         if self.p == 0:
@@ -101,25 +144,24 @@ class CurveParams:
         return self.p
 
 
-@dataclass(frozen=True)
-class BundleNumerics:
+class BundleNumerics(_Value):
     """Discrete invariants of a bundle: (rank, degree) with exact slope."""
 
-    rank: int
-    degree: int
+    __slots__ = ("rank", "degree")
 
-    def __post_init__(self) -> None:
-        _require_integers(rank=self.rank, degree=self.degree)
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+    def __init__(self, rank: int, degree: int) -> None:
+        _require_integers(rank=rank, degree=degree)
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
 
     @property
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
 
 
-@dataclass(frozen=True)
-class HNPolygon:
+class HNPolygon(_Value):
     """Strictly convex polygon with integer breakpoints, starting at (0, 0).
 
     Ranks strictly increase along the breakpoint list and successive
@@ -129,30 +171,36 @@ class HNPolygon:
     degenerate (semistable) polygon.
     """
 
-    breakpoints: tuple[tuple[int, int], ...]
+    __slots__ = ("breakpoints",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, breakpoints: Iterable[tuple[int, int]]) -> None:
+        # One pass over the points, raising at the first fault it meets.
+        pts = []
+        r0 = d0 = w0 = h0 = None  # the previous point, and the previous segment's run and rise
         try:
-            pts = tuple((index(r), index(d)) for r, d in self.breakpoints)
+            for r, d in breakpoints:
+                r, d = index(r), index(d)
+                if r0 is None:
+                    if r or d:
+                        raise ValueError(f"first breakpoint must be (0, 0), got {(r, d)}")
+                else:
+                    w, h = r - r0, d - d0
+                    if w <= 0:
+                        raise ValueError("breakpoint ranks must strictly increase")
+                    if w0 is not None and h * w0 >= h0 * w:  # slope h/w >= h0/w0
+                        raise ValueError(
+                            "segment slopes must strictly decrease (strict convexity)"
+                        )
+                    w0, h0 = w, h
+                r0, d0 = r, d
+                pts.append((r, d))
         except TypeError:
             raise ValueError(
-                f"breakpoints must be integer pairs, got {self.breakpoints}"
+                f"breakpoints must be integer pairs, got {breakpoints}"
             ) from None
-        object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2:
             raise ValueError("polygon needs at least two breakpoints")
-        if pts[0] != (0, 0):
-            raise ValueError(f"first breakpoint must be (0, 0), got {pts[0]}")
-        segs = []  # (width, rise) per segment, width > 0
-        for (r0, d0), (r1, d1) in zip(pts, pts[1:]):
-            if r1 <= r0:
-                raise ValueError("breakpoint ranks must strictly increase")
-            segs.append((r1 - r0, d1 - d0))
-        for (w0, h0), (w1, h1) in zip(segs, segs[1:]):
-            if h1 * w0 >= h0 * w1:  # slope h1/w1 >= h0/w0
-                raise ValueError(
-                    "segment slopes must strictly decrease (strict convexity)"
-                )
+        object.__setattr__(self, "breakpoints", tuple(pts))
 
     @property
     def total_rank(self) -> int:
@@ -257,8 +305,7 @@ def dominated_by(top: HNPolygon) -> Callable[[HNPolygon], bool]:
     return under_top
 
 
-@dataclass(frozen=True)
-class PosetDescription:
+class PosetDescription(_Value):
     """Hasse diagram of a finite set of polygons under dominance.
 
     ``elements`` is sorted lexicographically by breakpoint list; ``covers``
@@ -266,8 +313,12 @@ class PosetDescription:
     ``elements[i]`` (i.e. is strictly above with nothing in between).
     """
 
-    elements: tuple[HNPolygon, ...]
-    covers: tuple[tuple[int, int], ...]
+    __slots__ = ("elements", "covers")
+
+    def __init__(self, elements: tuple[HNPolygon, ...],
+                 covers: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "covers", covers)
 
     def maximal_indices(self) -> tuple[int, ...]:
         not_max = {i for i, _ in self.covers}

@@ -12,11 +12,10 @@ count that grows with r and g), ``strata_poset`` after ``STRATA_MAX_ELEMENTS`` +
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .core import HNPolygon, dominated_by, polygon_from_quotient_data
+from .core import HNPolygon, _Value, dominated_by, polygon_from_quotient_data
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
@@ -136,13 +135,16 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
     return tuple(sorted(found, key=lambda p: p.breakpoints))
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
-    r: int
-    g: int
-    count: int
-    oper_polygon_present: bool
-    counterexamples: tuple[HNPolygon, ...]
+class MaximalityReport(_Value):
+    __slots__ = ("r", "g", "count", "oper_polygon_present", "counterexamples")
+
+    def __init__(self, r: int, g: int, count: int, oper_polygon_present: bool,
+                 counterexamples: tuple[HNPolygon, ...]) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "oper_polygon_present", oper_polygon_present)
+        object.__setattr__(self, "counterexamples", counterexamples)
 
     @property
     def all_dominated(self) -> bool:

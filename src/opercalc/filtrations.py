@@ -7,12 +7,12 @@ sum(i * r_i) controls how far the subbundle slope can rise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from operator import index
 from typing import Iterator, NamedTuple
 
-from .core import BundleNumerics, CurveParams
+from .core import BundleNumerics, CurveParams, _Value
 
 # The exhaustive score search walks every profile of the weight, each of up
 # to w parts, so profiles times w is bounded: MAX_PARTS // w is the most
@@ -22,30 +22,36 @@ from .core import BundleNumerics, CurveParams
 MAX_PARTS = 12_500_000
 
 
-@dataclass(frozen=True, order=True)
-class FiltrationProfile:
-    """Weakly decreasing positive integer parts capped by ``cap``."""
+@total_ordering
+class FiltrationProfile(_Value):
+    """Weakly decreasing positive integer parts capped by ``cap``, ordered
+    by ``(parts, cap)``."""
 
-    parts: tuple[int, ...]
-    cap: int
+    __slots__ = ("parts", "cap")
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...], cap: int) -> None:
         try:
-            parts = tuple(index(x) for x in self.parts)
+            parts = tuple(index(x) for x in parts)
         except TypeError:
-            raise ValueError(f"parts must be integers, got {self.parts}") from None
-        object.__setattr__(self, "parts", parts)
+            raise ValueError(f"parts must be integers, got {parts}") from None
         if not parts:
             raise ValueError("profile needs at least one part")
-        if self.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {self.cap}")
-        if parts[0] > self.cap:
-            raise ValueError(f"leading part {parts[0]} exceeds cap {self.cap}")
+        if cap < 1:
+            raise ValueError(f"cap must be >= 1, got {cap}")
+        if parts[0] > cap:
+            raise ValueError(f"leading part {parts[0]} exceeds cap {cap}")
         if parts[-1] < 1:
             raise ValueError("parts must be positive")
         for a, b in zip(parts, parts[1:]):
             if b > a:
                 raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "cap", cap)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parts, self.cap) < (other.parts, other.cap)
 
     @property
     def weight(self) -> int:

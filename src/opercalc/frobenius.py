@@ -7,11 +7,10 @@ underlying statements are one-directional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import BundleNumerics, CurveParams
+from .core import BundleNumerics, CurveParams, _require_integers, _Value
 
 
 def pushforward_numerics(Q: BundleNumerics, curve: CurveParams) -> BundleNumerics:
@@ -32,6 +31,7 @@ def hirschowitz_bound(n: int, d: int, m: int, g: int) -> tuple[int, Fraction]:
     [0, n-1] with epsilon + m(n-m)(g-1) = m d (mod n) and
     bound = d/n - ((n-m)/n)(g-1) - epsilon/(mn).
     """
+    _require_integers(rank=n, degree=d, subbundle_rank=m, genus=g)
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
     if not 1 <= m <= n - 1:
@@ -41,28 +41,28 @@ def hirschowitz_bound(n: int, d: int, m: int, g: int) -> tuple[int, Fraction]:
     return eps, bound
 
 
-@dataclass(frozen=True)
-class QuotProblem:
+class QuotProblem(_Value):
     """Rank-r subsheaves of degree 0 inside the pushforward of Q.
 
     The standing range is q < r < pq with q = rk(Q).
     """
 
-    Q: BundleNumerics
-    r: int
-    curve: CurveParams
+    __slots__ = ("Q", "r", "curve")
 
-    def __post_init__(self) -> None:
-        p = self.curve.require_positive_char()
-        q = self.Q.rank
-        if not q < self.r < p * q:
+    def __init__(self, Q: BundleNumerics, r: int, curve: CurveParams) -> None:
+        _require_integers(target_rank=r)
+        p = curve.require_positive_char()
+        q = Q.rank
+        if not q < r < p * q:
             raise ValueError(
-                f"target rank must satisfy q < r < pq: q={q}, r={self.r}, pq={p * q}"
+                f"target rank must satisfy q < r < pq: q={q}, r={r}, pq={p * q}"
             )
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "curve", curve)
 
 
-@dataclass(frozen=True)
-class QuotCertificate:
+class QuotCertificate(_Value):
     """Outcome of the non-emptiness test.
 
     ``hypothesis_met`` is False when deg(Q) < -(r-q)(g-1); that is not a
@@ -73,10 +73,15 @@ class QuotCertificate:
     slope of some rank-r subbundle of the pushforward.
     """
 
-    hypothesis_met: bool
-    nonempty: Optional[bool]
-    case: Optional[int] = None
-    slope_lower_bound: Optional[Fraction] = None
+    __slots__ = ("hypothesis_met", "nonempty", "case", "slope_lower_bound")
+
+    def __init__(self, hypothesis_met: bool, nonempty: Optional[bool],
+                 case: Optional[int] = None,
+                 slope_lower_bound: Optional[Fraction] = None) -> None:
+        object.__setattr__(self, "hypothesis_met", hypothesis_met)
+        object.__setattr__(self, "nonempty", nonempty)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "slope_lower_bound", slope_lower_bound)
 
 
 def quot_nonempty(problem: QuotProblem) -> QuotCertificate:
@@ -111,8 +116,7 @@ def quot_dim_lower_bound(problem: QuotProblem) -> int:
     return r * ((r - q) * (g - 1) + problem.Q.degree)
 
 
-@dataclass(frozen=True)
-class ExpectedDimensions:
+class ExpectedDimensions(_Value):
     """Expected-dimension record for the canonical rank-r problems.
 
     ``destabilized_locus_dim`` (3g-4) is reported only for rank 2;
@@ -120,9 +124,13 @@ class ExpectedDimensions:
     problem (always 0); ``oper_quot_degree`` is -(r-1)(g-1).
     """
 
-    destabilized_locus_dim: Optional[int]
-    quot_expected: int
-    oper_quot_degree: int
+    __slots__ = ("destabilized_locus_dim", "quot_expected", "oper_quot_degree")
+
+    def __init__(self, destabilized_locus_dim: Optional[int], quot_expected: int,
+                 oper_quot_degree: int) -> None:
+        object.__setattr__(self, "destabilized_locus_dim", destabilized_locus_dim)
+        object.__setattr__(self, "quot_expected", quot_expected)
+        object.__setattr__(self, "oper_quot_degree", oper_quot_degree)
 
 
 def expected_dimensions(r: int, g: int) -> ExpectedDimensions:
@@ -140,18 +148,21 @@ def expected_dimensions(r: int, g: int) -> ExpectedDimensions:
     )
 
 
-@dataclass(frozen=True)
-class DestabilizationPredicates:
+class DestabilizationPredicates(_Value):
     """Component predicates of the destabilized-bundle correspondence.
 
     ``degree0_target`` is None when deg(V) != 0 (the refined degree -1
     statement only applies to degree-0 bundles).
     """
 
-    p_exceeds_threshold: bool
-    rank_ok: bool
-    slope_ok: bool
-    degree0_target: Optional[bool]
+    __slots__ = ("p_exceeds_threshold", "rank_ok", "slope_ok", "degree0_target")
+
+    def __init__(self, p_exceeds_threshold: bool, rank_ok: bool, slope_ok: bool,
+                 degree0_target: Optional[bool]) -> None:
+        object.__setattr__(self, "p_exceeds_threshold", p_exceeds_threshold)
+        object.__setattr__(self, "rank_ok", rank_ok)
+        object.__setattr__(self, "slope_ok", slope_ok)
+        object.__setattr__(self, "degree0_target", degree0_target)
 
 
 def destabilization_predicates(
@@ -168,8 +179,7 @@ def destabilization_predicates(
     )
 
 
-@dataclass(frozen=True)
-class MaxDegreeCertificate:
+class MaxDegreeCertificate(_Value):
     """Certificate that the maximal degree of rank-r subbundles of the
     pushforward equals 0.
 
@@ -179,11 +189,18 @@ class MaxDegreeCertificate:
     and from above by the strict slope bound ``slope_upper_bound`` < 1/r.
     """
 
-    hypotheses_met: bool
-    failed_hypotheses: tuple[str, ...]
-    max_degree: Optional[int] = None
-    slope_upper_bound: Optional[Fraction] = None
-    nonempty: Optional[QuotCertificate] = None
+    __slots__ = ("hypotheses_met", "failed_hypotheses", "max_degree", "slope_upper_bound",
+                 "nonempty")
+
+    def __init__(self, hypotheses_met: bool, failed_hypotheses: tuple[str, ...],
+                 max_degree: Optional[int] = None,
+                 slope_upper_bound: Optional[Fraction] = None,
+                 nonempty: Optional[QuotCertificate] = None) -> None:
+        object.__setattr__(self, "hypotheses_met", hypotheses_met)
+        object.__setattr__(self, "failed_hypotheses", failed_hypotheses)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "slope_upper_bound", slope_upper_bound)
+        object.__setattr__(self, "nonempty", nonempty)
 
 
 def maxdegree_certificate(

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .core import BundleNumerics, CurveParams, HNPolygon, polygon_from_quotient_data, shatz_leq
+from .core import (
+    BundleNumerics, CurveParams, HNPolygon, _Value, polygon_from_quotient_data, shatz_leq,
+)
 from .enumeration import (
     enumerate_admissible, key_inequality_check, verify_oper_maximality,
     verify_target_inequalities,
@@ -34,20 +35,25 @@ from .opers import (
 )
 
 
-@dataclass(frozen=True)
-class LawResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class LawResult(_Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(_Value):
     """A named predicate over a finite grid of argument tuples."""
 
-    name: str
-    cases: Callable[[], Iterable[tuple[Any, ...]]]
-    holds: Callable[..., bool]
+    __slots__ = ("name", "cases", "holds")
+
+    def __init__(self, name: str, cases: Callable[[], Iterable[tuple[Any, ...]]],
+                 holds: Callable[..., bool]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "holds", holds)
 
     def __call__(self) -> LawResult:
         checked = False

@@ -2,26 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import BundleNumerics, CurveParams, HNPolygon, _require_integers
+from .core import BundleNumerics, CurveParams, HNPolygon, _require_integers, _Value
 
 
-@dataclass(frozen=True)
-class OperShape:
+class OperShape(_Value):
     """Numerical shape of a flagged bundle: first quotient, flag length, curve.
 
     The underlying bundle has rank ``rk(Q) * l`` and degree
     ``l (deg(Q) + rk(Q)(l-1)(g-1))``; both are derived, never stored.
     """
 
-    quotient: BundleNumerics
-    length: int
-    curve: CurveParams
+    __slots__ = ("quotient", "length", "curve")
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
+    def __init__(self, quotient: BundleNumerics, length: int, curve: CurveParams) -> None:
+        _require_integers(length=length)
+        if length < 1:
+            raise ValueError(f"length must be >= 1, got {length}")
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "curve", curve)
 
     @property
     def type(self) -> int:
@@ -84,6 +83,8 @@ def threshold_C(r: int, g: int) -> int:
     _require_integers(rank=r, genus=g)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
     return r * (r - 1) * (r - 2) * (g - 1)
 
 

@@ -10,8 +10,11 @@ from opercalc import (
     BundleNumerics,
     CurveParams,
     HNPolygon,
+    OperShape,
     PosetDescription,
+    QuotProblem,
     enumerate_admissible,
+    hirschowitz_bound,
     oper_polygon,
     oper_space_dimensions,
     polygon_from_quotient_data,
@@ -140,8 +143,16 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
     lambda: threshold_C(4, 2.5),
     lambda: threshold_C(4.0, 2),
     lambda: oper_space_dimensions(3, 2.5),
+    lambda: OperShape(BundleNumerics(1, 0), 2.5, CurveParams(2, 0)),
+    lambda: QuotProblem(BundleNumerics(1, 0), 1.5, CurveParams(2, 3)),
+    lambda: hirschowitz_bound(2, 0.5, 1, 2),
+    # integers, but genera below 2, which every other dimension formula refuses
+    lambda: threshold_C(3, 1),
+    lambda: threshold_C(3, -4),
 ], ids=["curve-genus", "curve-char", "bundle-degree", "bundle-rank", "pushforward",
-        "value-at-float", "value-at-str", "threshold-genus", "threshold-rank", "dimensions"])
+        "value-at-float", "value-at-str", "threshold-genus", "threshold-rank", "dimensions",
+        "oper-shape-length", "quot-target-rank", "hirschowitz-degree", "threshold-genus-1",
+        "threshold-genus-negative"])
 def test_rejects_a_non_integer_input(call):
     with pytest.raises(ValueError):
         call()
