@@ -1,14 +1,14 @@
 """Exact polygon arithmetic: bundle numerics, convex HN polygons, dominance order.
 
-Everything here is a pure value computed with :class:`fractions.Fraction`;
-no floating point is used anywhere in the package, and polygon breakpoints
-must be integers.  There is one dominance rule, decided in integers without
-building a ``Fraction``: compare values at x = 1 .. r-1 scaled by
-lcm(1, ..., r) (:func:`_scaled_values`).  :func:`shatz_leq` compares two such
-vectors, :func:`dominated_by` compares many to one built once, and
-:func:`strata_poset` compares them all at once, one Python-int bitset of
-dominating elements per polygon.  :meth:`HNPolygon.value_at` and the rest
-of the public API still return ``Fraction`` values.
+Polygon breakpoints are integers, and no floating point is used anywhere in
+the package.  Dominance is one rule, decided in integers without building a
+``Fraction``: a polygon lies under another iff its values at x = 1 .. r-1,
+scaled by lcm(1, ..., r) (:func:`_scaled_values`), are at most the other's.
+:func:`shatz_leq` compares two such vectors, :func:`dominated_by` compares
+many to one built once, and :func:`strata_poset` compares them all at once,
+one Python-int bitset of dominating elements per polygon.
+:meth:`HNPolygon.value_at` and the rest of the public API still return
+``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -77,21 +77,44 @@ def format_rational(x: Fraction) -> str:
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__`` and sets each once, through
-    ``object.__setattr__``, in an ``__init__`` that runs its checks first.
-    Equality needs the exact class and equal field values, the hash is that of
-    the field values, and the repr reads ``Name(field=value, ...)``.
-    Assigning or deleting a field raises ``AttributeError``.  Copies and
-    pickles are rebuilt through the constructor, so its checks run again.
+    A subclass names its fields in ``__slots__``; positional order is
+    ``__slots__`` order.  A record that checks nothing declares only that, and
+    ``_defaults`` for the fields that may be omitted: this constructor binds
+    positional arguments, then keywords, then defaults, and raises
+    ``TypeError`` as Python's own binding does.  A class with checks writes its
+    own ``__init__``, which runs them and then sets each field once through
+    ``object.__setattr__``.  It does not chain to this one for speed: that
+    costs about 1.5 µs more per object, and took building the 5767 polygons of
+    r=7 g=3 from 12 to 20 ms on a 2-CPU host (Python 3.11).  Equality needs
+    the exact class and equal field values, the hash is that of the field
+    values, and the repr reads ``Name(field=value, ...)``.  Assigning or
+    deleting a field raises ``AttributeError``.  Copies and pickles are
+    rebuilt through the constructor, so its checks run again.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]  # every slot of the class, base classes first
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(name for klass in reversed(cls.__mro__)
                             for name in klass.__dict__.get("__slots__", ()))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        name, fields = self.__class__.__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        for field in kwargs:
+            if field not in fields[len(args):]:
+                fault = "multiple values for" if field in fields else "an unexpected keyword"
+                raise TypeError(f"{name}() got {fault} argument {field!r}")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+            object.__setattr__(self, field, values[field])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -314,11 +337,6 @@ class PosetDescription(_Value):
     """
 
     __slots__ = ("elements", "covers")
-
-    def __init__(self, elements: tuple[HNPolygon, ...],
-                 covers: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covers", covers)
 
     def maximal_indices(self) -> tuple[int, ...]:
         not_max = {i for i, _ in self.covers}

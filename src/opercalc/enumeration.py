@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .core import HNPolygon, _Value, dominated_by, polygon_from_quotient_data
+from .core import HNPolygon, _require_integers, _Value, dominated_by, polygon_from_quotient_data
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
@@ -72,6 +72,7 @@ def _complete(
 
 def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
     """Each admissible degree-0 rank-r polygon in canonical order; checks r, g when called."""
+    _require_integers(rank=r, genus=g)
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
     if g < 2:
@@ -107,6 +108,7 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
     within the proven degree bounds, each degree kept to slopes that
     increase by at most the gap, and keep those of total degree 0.  Slower
     than :func:`enumerate_admissible` but structurally unrelated to it."""
+    _require_integers(rank=r, genus=g)
     if r < 2 or g < 2:
         raise ValueError("need r >= 2 and g >= 2")
     gap = 2 * g - 2
@@ -137,14 +139,6 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
 
 class MaximalityReport(_Value):
     __slots__ = ("r", "g", "count", "oper_polygon_present", "counterexamples")
-
-    def __init__(self, r: int, g: int, count: int, oper_polygon_present: bool,
-                 counterexamples: tuple[HNPolygon, ...]) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "oper_polygon_present", oper_polygon_present)
-        object.__setattr__(self, "counterexamples", counterexamples)
 
     @property
     def all_dominated(self) -> bool:

@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from operator import index
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .core import BundleNumerics, CurveParams, _Value
+from .core import BundleNumerics, CurveParams, _require_integers, _Value
 
 # The exhaustive score search walks every profile of the weight, each of up
 # to w parts, so profiles times w is bounded: MAX_PARTS // w is the most
@@ -30,6 +30,7 @@ class FiltrationProfile(_Value):
     __slots__ = ("parts", "cap")
 
     def __init__(self, parts: tuple[int, ...], cap: int) -> None:
+        _require_integers(cap=cap)
         try:
             parts = tuple(index(x) for x in parts)
         except TypeError:
@@ -70,6 +71,7 @@ def profile_score(profile: FiltrationProfile) -> int:
 
 def max_score_closed_form(w: int) -> int:
     """Closed-form maximum w(w-1)/2 of the score over weight-w profiles."""
+    _require_integers(weight=w)
     if w < 1:
         raise ValueError(f"weight must be >= 1, got {w}")
     return w * (w - 1) // 2
@@ -125,6 +127,7 @@ def max_score_brute_force(
     maximizer, sorted.  Independent oracle for the closed form.  Refuses,
     before walking any, more than :data:`MAX_PARTS` profiles times w.
     """
+    _require_integers(weight=w, cap=q)
     if w < 1:
         raise ValueError(f"weight must be >= 1, got {w}")
     if q < 1:
@@ -182,9 +185,11 @@ def worst_case_subbundle_slope_bound(
     return Q.slope / p + Fraction((g - 1) * (w - 1), p)
 
 
-class OperSlopeBound(NamedTuple):
-    bound: Fraction
-    within_semistable_target: bool
+class OperSlopeBound(_Value):
+    """What :func:`oper_subbundle_slope_bound` returns: the exact ``bound`` and
+    whether it is ``within_semistable_target``."""
+
+    __slots__ = ("bound", "within_semistable_target")
 
 
 def oper_subbundle_slope_bound(

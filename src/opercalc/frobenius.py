@@ -8,7 +8,6 @@ underlying statements are one-directional.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .core import BundleNumerics, CurveParams, _require_integers, _Value
 
@@ -74,14 +73,7 @@ class QuotCertificate(_Value):
     """
 
     __slots__ = ("hypothesis_met", "nonempty", "case", "slope_lower_bound")
-
-    def __init__(self, hypothesis_met: bool, nonempty: Optional[bool],
-                 case: Optional[int] = None,
-                 slope_lower_bound: Optional[Fraction] = None) -> None:
-        object.__setattr__(self, "hypothesis_met", hypothesis_met)
-        object.__setattr__(self, "nonempty", nonempty)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "slope_lower_bound", slope_lower_bound)
+    _defaults = {"case": None, "slope_lower_bound": None}
 
 
 def quot_nonempty(problem: QuotProblem) -> QuotCertificate:
@@ -126,14 +118,9 @@ class ExpectedDimensions(_Value):
 
     __slots__ = ("destabilized_locus_dim", "quot_expected", "oper_quot_degree")
 
-    def __init__(self, destabilized_locus_dim: Optional[int], quot_expected: int,
-                 oper_quot_degree: int) -> None:
-        object.__setattr__(self, "destabilized_locus_dim", destabilized_locus_dim)
-        object.__setattr__(self, "quot_expected", quot_expected)
-        object.__setattr__(self, "oper_quot_degree", oper_quot_degree)
-
 
 def expected_dimensions(r: int, g: int) -> ExpectedDimensions:
+    _require_integers(rank=r, genus=g)
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
     if g < 2:
@@ -156,13 +143,6 @@ class DestabilizationPredicates(_Value):
     """
 
     __slots__ = ("p_exceeds_threshold", "rank_ok", "slope_ok", "degree0_target")
-
-    def __init__(self, p_exceeds_threshold: bool, rank_ok: bool, slope_ok: bool,
-                 degree0_target: Optional[bool]) -> None:
-        object.__setattr__(self, "p_exceeds_threshold", p_exceeds_threshold)
-        object.__setattr__(self, "rank_ok", rank_ok)
-        object.__setattr__(self, "slope_ok", slope_ok)
-        object.__setattr__(self, "degree0_target", degree0_target)
 
 
 def destabilization_predicates(
@@ -191,16 +171,7 @@ class MaxDegreeCertificate(_Value):
 
     __slots__ = ("hypotheses_met", "failed_hypotheses", "max_degree", "slope_upper_bound",
                  "nonempty")
-
-    def __init__(self, hypotheses_met: bool, failed_hypotheses: tuple[str, ...],
-                 max_degree: Optional[int] = None,
-                 slope_upper_bound: Optional[Fraction] = None,
-                 nonempty: Optional[QuotCertificate] = None) -> None:
-        object.__setattr__(self, "hypotheses_met", hypotheses_met)
-        object.__setattr__(self, "failed_hypotheses", failed_hypotheses)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "slope_upper_bound", slope_upper_bound)
-        object.__setattr__(self, "nonempty", nonempty)
+    _defaults = {"max_degree": None, "slope_upper_bound": None, "nonempty": None}
 
 
 def maxdegree_certificate(

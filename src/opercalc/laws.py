@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from .core import (
     BundleNumerics, CurveParams, HNPolygon, _Value, polygon_from_quotient_data, shatz_leq,
@@ -37,23 +37,13 @@ from .opers import (
 
 class LawResult(_Value):
     __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
 
 class Law(_Value):
     """A named predicate over a finite grid of argument tuples."""
 
     __slots__ = ("name", "cases", "holds")
-
-    def __init__(self, name: str, cases: Callable[[], Iterable[tuple[Any, ...]]],
-                 holds: Callable[..., bool]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "holds", holds)
 
     def __call__(self) -> LawResult:
         checked = False

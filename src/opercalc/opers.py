@@ -46,6 +46,7 @@ class OperShape(_Value):
 
 def oper_polygon(r: int, g: int) -> HNPolygon:
     """Polygon with breakpoints (i, i(r-i)(g-1)) for 0 <= i <= r."""
+    _require_integers(rank=r, genus=g)
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
     if g < 2:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +339,24 @@ class TestUsageErrors:
             f"{ALL_LAWS[0].name},PASS,",
             "vacuous,FAIL,no cases checked",
         ]
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argument lists of the code block under README's "CLI" heading."""
+    block = README.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_run(capture, tmp_path, monkeypatch, argv):
+    # the sweep config the README's "Dimension sweeps" section writes to sweep.json
+    sweep = README.split("\n## Dimension sweeps\n", 1)[1]
+    (tmp_path / "sweep.json").write_text(re.search(r"`(\{.*?\})`", sweep).group(1))
+    monkeypatch.chdir(tmp_path)
+    assert argv[0] == "opercalc"
+    code, out, err = capture(*argv[1:])
+    assert (code, err) == (0, "")
+    assert out

@@ -9,12 +9,17 @@ from hypothesis import given, strategies as st
 from opercalc import (
     BundleNumerics,
     CurveParams,
+    FiltrationProfile,
     HNPolygon,
     OperShape,
     PosetDescription,
     QuotProblem,
     enumerate_admissible,
+    enumerate_admissible_slow,
+    expected_dimensions,
     hirschowitz_bound,
+    max_score_brute_force,
+    max_score_closed_form,
     oper_polygon,
     oper_space_dimensions,
     polygon_from_quotient_data,
@@ -149,10 +154,18 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
     # integers, but genera below 2, which every other dimension formula refuses
     lambda: threshold_C(3, 1),
     lambda: threshold_C(3, -4),
+    lambda: FiltrationProfile((1,), 2.5),
+    lambda: expected_dimensions(2.5, 2),
+    lambda: max_score_closed_form(2.5),
+    lambda: oper_polygon(2.5, 2),
+    lambda: enumerate_admissible(3.0, 2),
+    lambda: enumerate_admissible_slow(3, 2.5),
+    lambda: max_score_brute_force(3, 2.5),
 ], ids=["curve-genus", "curve-char", "bundle-degree", "bundle-rank", "pushforward",
         "value-at-float", "value-at-str", "threshold-genus", "threshold-rank", "dimensions",
         "oper-shape-length", "quot-target-rank", "hirschowitz-degree", "threshold-genus-1",
-        "threshold-genus-negative"])
+        "threshold-genus-negative", "profile-cap", "expected-dimensions", "closed-form-weight",
+        "oper-polygon-rank", "enumerate-rank", "slow-oracle-genus", "brute-force-cap"])
 def test_rejects_a_non_integer_input(call):
     with pytest.raises(ValueError):
         call()

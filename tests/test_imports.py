@@ -1,5 +1,7 @@
-"""What each entry point imports, and the lazily loaded package names."""
+"""What each entry point imports, the lazily loaded package names, and what
+the package source may not use."""
 
+import ast
 import json
 import os
 import subprocess
@@ -113,3 +115,19 @@ class TestLazyExports:
         namespace: dict = {}
         exec("from opercalc import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_the_source_uses_no_floating_point():
+    """No float or complex literal and no call to ``float``, ``complex`` or
+    ``round`` anywhere in the package: the arithmetic stays exact."""
+    paths = sorted((SRC / "opercalc").glob("*.py"))
+    assert paths
+    faults = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                faults.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "complex", "round")):
+                faults.append(f"{path.name}:{node.lineno}: call to {node.func.id}")
+    assert faults == []

@@ -1,6 +1,6 @@
 """The contract every immutable value class of the package keeps: equality and
-hash by exact class and fields, no assignment, keyword construction, copies,
-pickles and a ``Name(field=value, ...)`` repr."""
+hash by exact class and fields, no assignment, keyword construction, argument
+errors, copies, pickles and a ``Name(field=value, ...)`` repr."""
 
 import copy
 import pickle
@@ -13,6 +13,7 @@ from opercalc import (
     FiltrationProfile, HNPolygon, MaxDegreeCertificate, MaximalityReport, OperShape,
     PosetDescription, QuotCertificate, QuotProblem, oper_polygon, pushforward_numerics,
 )
+from opercalc.filtrations import OperSlopeBound
 from opercalc.laws import Law, LawResult, _oper_symmetric, _rank_genus
 
 TRIVIAL = HNPolygon.trivial(2)
@@ -39,7 +40,12 @@ FIELDS = {
     FiltrationProfile: dict(parts=(2, 1), cap=2),
     LawResult: dict(name="law", passed=False, detail="fails at (2, 2)"),
     Law: dict(name="oper-polygon-symmetry", cases=_rank_genus, holds=_oper_symmetric),
+    OperSlopeBound: dict(bound=Fraction(7, 2), within_semistable_target=True),
 }
+
+# The records that check nothing, so their constructor only binds arguments to fields.
+RECORDS = [PosetDescription, MaximalityReport, QuotCertificate, ExpectedDimensions,
+           DestabilizationPredicates, MaxDegreeCertificate, LawResult, Law, OperSlopeBound]
 
 # The fields a constructor may omit, and the values it then takes.
 DEFAULTS = [
@@ -55,7 +61,7 @@ classes = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__nam
 
 
 def test_every_value_class_is_covered():
-    assert len(FIELDS) == 14
+    assert len(FIELDS) == 15
 
 
 @classes
@@ -64,6 +70,18 @@ def test_keyword_and_positional_construction_agree(cls):
     value = cls(**fields)
     assert value == cls(*fields.values())
     assert {name: getattr(value, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("bind", [
+    lambda cls, fields: cls(**dict(list(fields.items())[1:])),
+    lambda cls, fields: cls(*fields.values(), None),
+    lambda cls, fields: cls(**fields, no_such_field=None),
+    lambda cls, fields: cls(next(iter(fields.values())), **fields),
+], ids=["missing-field", "extra-positional", "unknown-keyword", "field-given-twice"])
+def test_records_refuse_arguments_that_bind_to_no_field(cls, bind):
+    with pytest.raises(TypeError):
+        bind(cls, FIELDS[cls])
 
 
 @pytest.mark.parametrize("cls, given, defaults", DEFAULTS,
