@@ -62,6 +62,15 @@ def _require_integers(**values: object) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _integer_tuple(name: str, values: Iterable[object]) -> tuple[int, ...]:
+    """``values`` as a tuple, or ``ValueError`` unless each is an integer to
+    :func:`operator.index`."""
+    try:
+        return tuple(index(x) for x in values)
+    except TypeError:
+        raise ValueError(f"{name} must be integers, got {values}") from None
+
+
 def rational_to_json(x: Fraction) -> dict:
     """Serialize an exact rational as decimal strings (arbitrary precision)."""
     return {"num": str(x.numerator), "den": str(x.denominator)}
@@ -266,7 +275,7 @@ class HNPolygon(_Value):
         raise AssertionError("unreachable")
 
     def to_json(self) -> dict:
-        return {"breakpoints": [[r, d] for r, d in self.breakpoints]}
+        return {"breakpoints": self.breakpoints}  # json writes tuples as arrays
 
     @classmethod
     def from_json(cls, obj: dict) -> "HNPolygon":

@@ -15,7 +15,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .core import HNPolygon, _require_integers, _Value, dominated_by, polygon_from_quotient_data
+from .core import (
+    HNPolygon, _integer_tuple, _require_integers, _Value, dominated_by, polygon_from_quotient_data,
+)
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
@@ -58,13 +60,13 @@ def _complete(
                 yield HNPolygon(tuple(pts) + ((r, 0),))
             continue
         rest = r - x2
-        for y2 in range(max(1, y2_lo), y2_hi + 1):
-            # remaining chord slope c = -y2/rest: strictly below the slope
-            # s = (y2-y)/dx, and reachable within at most `rest` further
-            # drops of 2g-2: s - rest*gap <= c < s, scaled by dx*rest > 0
-            s_scaled = (y2 - y) * rest
-            if not (s_scaled - gap * dx * rest * rest <= -y2 * dx < s_scaled):
-                continue
+        # remaining chord slope c = -y2/rest: strictly below the slope
+        # s = (y2-y)/dx, and reachable within at most `rest` further drops
+        # of 2g-2: s - rest*gap <= c < s.  Scaled by dx*rest > 0 this is
+        # y*rest < y2*(r-x) <= y*rest + gap*dx*rest^2.
+        lo = max(1, y2_lo, y * rest // (r - x) + 1)
+        hi = min(y2_hi, (y * rest + gap * dx * rest * rest) // (r - x))
+        for y2 in range(lo, hi + 1):
             pts.append((x2, y2))
             yield from _complete(r, g, pts, (y2 - y, dx))
             pts.pop()
@@ -116,10 +118,6 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
 
     def extend(degrees: tuple[int, ...], comp: tuple[int, ...], bound: int) -> None:
         i = len(degrees)
-        if i == len(comp):
-            if sum(degrees) == 0:
-                found.add(polygon_from_quotient_data(comp, degrees))
-            return
         n = comp[i]
         lo, hi = -n * bound, n * bound
         if degrees:
@@ -127,6 +125,12 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
             d0, n0 = degrees[-1], comp[i - 1]
             lo = max(lo, n * d0 // n0 + 1)
             hi = min(hi, n * (d0 + gap * n0) // n0)
+        if i == len(comp) - 1:
+            # total degree 0 fixes the last degree
+            d = -sum(degrees)
+            if lo <= d <= hi:
+                found.add(polygon_from_quotient_data(comp, degrees + (d,)))
+            return
         for d in range(lo, hi + 1):
             extend(degrees + (d,), comp, bound)
 
@@ -190,6 +194,7 @@ def verify_target_inequalities(polygon: HNPolygon, g: int) -> bool:
 
     Equivalent to dominance by the oper polygon of the same rank.
     """
+    _require_integers(genus=g)
     if polygon.breakpoints[-1][1] != 0:
         raise ValueError("target inequalities apply to degree-0 polygons")
     qd = polygon.quotient_data()  # slopes increasing: bottom-up order
@@ -210,6 +215,8 @@ def key_inequality_check(l: int, m_values: Sequence[int]) -> bool:
     Coefficient j pairs with m_{l-j}, following the displayed formula
     literally.  Always true for nonnegative m_i; exposed as a law.
     """
+    _require_integers(l=l)
+    m_values = _integer_tuple("m values", m_values)
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
     if len(m_values) != l - 1:

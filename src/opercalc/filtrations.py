@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from operator import index
 from typing import Iterator
 
-from .core import BundleNumerics, CurveParams, _require_integers, _Value
+from .core import BundleNumerics, CurveParams, _integer_tuple, _require_integers, _Value
 
 # The exhaustive score search walks every profile of the weight, each of up
 # to w parts, so profiles times w is bounded: MAX_PARTS // w is the most
@@ -31,10 +30,7 @@ class FiltrationProfile(_Value):
 
     def __init__(self, parts: tuple[int, ...], cap: int) -> None:
         _require_integers(cap=cap)
-        try:
-            parts = tuple(index(x) for x in parts)
-        except TypeError:
-            raise ValueError(f"parts must be integers, got {parts}") from None
+        parts = _integer_tuple("parts", parts)
         if not parts:
             raise ValueError("profile needs at least one part")
         if cap < 1:
@@ -149,15 +145,14 @@ def max_score_brute_force(
 
 
 def sun_gap_term(parts: tuple[int, ...], g: int, p: int) -> Fraction:
-    """(2(g-1)/(pw)) * sum(((p-1)/2 - i) r_i), evaluated exactly.
-
-    Algebraic in p: for p = 2 the half-integer (p-1)/2 is kept as the
-    exact rational 1/2.
-    """
-    w = sum(parts)
-    half = Fraction(p - 1, 2)
-    total = sum((half - i) * r for i, r in enumerate(parts))
-    return Fraction(2 * (g - 1), p * w) * total
+    """(2(g-1)/(pw)) * sum(((p-1)/2 - i) r_i), evaluated exactly as
+    (g-1) * sum((p-1-2i) r_i) / (pw)."""
+    _require_integers(genus=g, characteristic=p)
+    parts = _integer_tuple("parts", parts)
+    if not parts:
+        raise ValueError("profile needs at least one part")
+    total = sum((p - 1 - 2 * i) * r for i, r in enumerate(parts))
+    return Fraction((g - 1) * total, p * sum(parts))
 
 
 def sun_bound(profile: FiltrationProfile, curve: CurveParams) -> Fraction:
@@ -180,9 +175,10 @@ def worst_case_subbundle_slope_bound(
     """mu(Q)/p + (g-1)(w-1)/p: the slope bound for rank-w subbundles of the
     pushforward, obtained from the gap formula at the score maximum."""
     p, g = curve.require_positive_char(), curve.g
+    _require_integers(rank=w)
     if w < 1:
         raise ValueError(f"rank must be >= 1, got {w}")
-    return Q.slope / p + Fraction((g - 1) * (w - 1), p)
+    return Fraction(Q.degree + Q.rank * (g - 1) * (w - 1), Q.rank * p)
 
 
 class OperSlopeBound(_Value):
@@ -198,6 +194,7 @@ def oper_subbundle_slope_bound(
     """mu(Q) + (2g-2)/w * score: slope bound for a subbundle of a length-l
     flagged bundle inducing this profile, and whether it stays within the
     semistability target mu(Q) + (l-1)(g-1).  It always does."""
+    _require_integers(flag_length=l, genus=g)
     if profile.m > l - 1:
         raise ValueError(
             f"profile has {profile.m + 1} parts, flag has length {l}"

@@ -28,16 +28,16 @@ def hirschowitz_bound(n: int, d: int, m: int, g: int) -> tuple[int, Fraction]:
 
     Returns (epsilon, bound) where epsilon is the unique integer in
     [0, n-1] with epsilon + m(n-m)(g-1) = m d (mod n) and
-    bound = d/n - ((n-m)/n)(g-1) - epsilon/(mn).
+    bound = d/n - ((n-m)/n)(g-1) - epsilon/(mn), which is
+    floor((md - m(n-m)(g-1))/n)/m.
     """
     _require_integers(rank=n, degree=d, subbundle_rank=m, genus=g)
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
     if not 1 <= m <= n - 1:
         raise ValueError(f"subbundle rank {m} out of range [1, {n - 1}]")
-    eps = (m * d - m * (n - m) * (g - 1)) % n
-    bound = Fraction(d, n) - Fraction(n - m, n) * (g - 1) - Fraction(eps, m * n)
-    return eps, bound
+    k, eps = divmod(m * d - m * (n - m) * (g - 1), n)
+    return eps, Fraction(k, m)
 
 
 class QuotProblem(_Value):
@@ -69,7 +69,7 @@ class QuotCertificate(_Value):
     the two-case analysis applies (1: the reduced residue
     r[deg(Q) + (r-q)(g-1)] already lies in [0, pq-1]; 2: it is >= pq) and
     ``slope_lower_bound`` is the certified lower bound (always >= 0) on the
-    slope of some rank-r subbundle of the pushforward.
+    slope of some rank-r subbundle of the pushforward: exactly 0 in case 1.
     """
 
     __slots__ = ("hypothesis_met", "nonempty", "case", "slope_lower_bound")
@@ -82,18 +82,16 @@ def quot_nonempty(problem: QuotProblem) -> QuotCertificate:
     q, r = problem.Q.rank, problem.r
     if problem.Q.degree < -(r - q) * (g - 1):
         return QuotCertificate(hypothesis_met=False, nonempty=None)
-    fq = pushforward_numerics(problem.Q, problem.curve)
     n = p * q
+    # the existence bound is mu(F_*Q) - ((n-r)/n)(g-1) - epsilon/(nr),
+    # and mu(F_*Q) - ((n-r)/n)(g-1) = e/(nr)
     e = r * (problem.Q.degree + (r - q) * (g - 1))
-    base = fq.slope - Fraction(n - r, n) * (g - 1)
     if e <= n - 1:
-        # e is the canonical residue, so the existence bound applies verbatim.
-        bound = base - Fraction(e, n * r)
-        case = 1
+        # e is the canonical residue epsilon, so the bound is e/(nr) - e/(nr).
+        bound, case = Fraction(0), 1
     else:
         # epsilon <= pq - 1 always, so -epsilon/(pqr) >= -1/r.
-        bound = base - Fraction(1, r)
-        case = 2
+        bound, case = Fraction(e - n, n * r), 2
     return QuotCertificate(
         hypothesis_met=True, nonempty=True, case=case, slope_lower_bound=bound
     )

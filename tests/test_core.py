@@ -18,17 +18,22 @@ from opercalc import (
     enumerate_admissible_slow,
     expected_dimensions,
     hirschowitz_bound,
+    key_inequality_check,
     max_score_brute_force,
     max_score_closed_form,
     oper_polygon,
     oper_space_dimensions,
+    oper_subbundle_slope_bound,
     polygon_from_quotient_data,
     pushforward_numerics,
     shatz_leq,
     strata_poset,
     threshold_C,
+    verify_target_inequalities,
+    worst_case_subbundle_slope_bound,
 )
 from opercalc.core import _is_prime
+from opercalc.filtrations import sun_gap_term
 
 
 def _below(a: HNPolygon, b: HNPolygon) -> bool:
@@ -161,11 +166,25 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
     lambda: enumerate_admissible(3.0, 2),
     lambda: enumerate_admissible_slow(3, 2.5),
     lambda: max_score_brute_force(3, 2.5),
+    lambda: sun_gap_term((1,), 2.5, 5),
+    lambda: sun_gap_term((1,), 2, 5.0),
+    lambda: sun_gap_term((1.0,), 2, 5),
+    # no parts: a weight of 0 would divide by zero
+    lambda: sun_gap_term((), 2, 5),
+    lambda: worst_case_subbundle_slope_bound(BundleNumerics(1, -1), 2.5, CurveParams(2, 5)),
+    lambda: oper_subbundle_slope_bound(FiltrationProfile((1,), 1), BundleNumerics(1, 0), 2.5, 2),
+    lambda: oper_subbundle_slope_bound(FiltrationProfile((1,), 1), BundleNumerics(1, 0), 2, 2.5),
+    lambda: verify_target_inequalities(oper_polygon(3, 2), 2.5),
+    lambda: key_inequality_check(3.0, [0, 1]),
+    lambda: key_inequality_check(3, [0.5, 1]),
 ], ids=["curve-genus", "curve-char", "bundle-degree", "bundle-rank", "pushforward",
         "value-at-float", "value-at-str", "threshold-genus", "threshold-rank", "dimensions",
         "oper-shape-length", "quot-target-rank", "hirschowitz-degree", "threshold-genus-1",
         "threshold-genus-negative", "profile-cap", "expected-dimensions", "closed-form-weight",
-        "oper-polygon-rank", "enumerate-rank", "slow-oracle-genus", "brute-force-cap"])
+        "oper-polygon-rank", "enumerate-rank", "slow-oracle-genus", "brute-force-cap",
+        "sun-gap-genus", "sun-gap-char", "sun-gap-part", "sun-gap-no-parts",
+        "worst-case-rank", "oper-bound-flag-length", "oper-bound-genus",
+        "target-inequalities-genus", "key-inequality-length", "key-inequality-m"])
 def test_rejects_a_non_integer_input(call):
     with pytest.raises(ValueError):
         call()

@@ -20,6 +20,19 @@ from opercalc import (
 from opercalc.filtrations import MAX_PARTS, _partitions, _profile_count, sun_gap_term
 
 
+def fraction_chain_sun_gap_term(parts, g, p):
+    """(2(g-1)/(pw)) * sum(((p-1)/2 - i) r_i) with the half-integer (p-1)/2
+    kept as a Fraction: an oracle for the integer form."""
+    half = Fraction(p - 1, 2)
+    total = sum((half - i) * r for i, r in enumerate(parts))
+    return Fraction(2 * (g - 1), p * sum(parts)) * total
+
+
+def fraction_chain_worst_case_bound(Q, w, curve):
+    """mu(Q)/p + (g-1)(w-1)/p, one Fraction operation at a time."""
+    return Q.slope / curve.p + Fraction((curve.g - 1) * (w - 1), curve.p)
+
+
 def recursive_partitions(w, cap, prefix=()):
     """Depth-first reference walk: largest part first, one frame per part."""
     if w == 0:
@@ -150,6 +163,13 @@ class TestSunBound:
         # m = p - 1 is the longest admissible profile
         assert sun_bound(profile, CurveParams(2, 3)) == 0
 
+    def test_gap_term_equals_the_fraction_chain(self):
+        for w, g, p in itertools.product(range(1, 9), (2, 3, 4), (2, 3, 5, 7)):
+            for parts in _partitions(w, w):
+                gap = sun_gap_term(parts, g, p)
+                assert type(gap) is Fraction
+                assert gap == fraction_chain_sun_gap_term(parts, g, p)
+
     def test_characteristic_two_evaluated_exactly(self):
         profile = FiltrationProfile((2, 1), 2)
         # (2(g-1)/(pw)) ((1/2)*2 + (1/2-1)*1) = (2/6)(1/2) = 1/6
@@ -170,6 +190,15 @@ class TestWorstCaseBound:
             BundleNumerics(q, d), w, CurveParams(g, p)
         )
         assert bound == expected
+
+    def test_equals_the_fraction_chain(self):
+        for q, d, w in itertools.product(range(1, 5), range(-10, 11), range(1, 9)):
+            Q = BundleNumerics(q, d)
+            for g, p in itertools.product((2, 3, 4), (2, 3, 5, 7)):
+                curve = CurveParams(g, p)
+                bound = worst_case_subbundle_slope_bound(Q, w, curve)
+                assert type(bound) is Fraction
+                assert bound == fraction_chain_worst_case_bound(Q, w, curve)
 
     def test_gap_minimum_recovers_closed_form(self):
         for q, w, p, g in itertools.product((1, 2, 3), range(1, 9), (5, 7, 11, 13), (2, 3, 4)):

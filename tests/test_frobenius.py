@@ -17,6 +17,24 @@ from opercalc import (
 )
 
 
+def fraction_chain_hirschowitz_bound(n, d, m, g):
+    """The bound as the paper writes it, d/n - ((n-m)/n)(g-1) - epsilon/(mn),
+    one Fraction operation at a time: an oracle for the integer form."""
+    eps = (m * d - m * (n - m) * (g - 1)) % n
+    return eps, Fraction(d, n) - Fraction(n - m, n) * (g - 1) - Fraction(eps, m * n)
+
+
+def fraction_chain_quot_bound(problem):
+    """The certified slope as mu(F_*Q) - ((n-r)/n)(g-1) - epsilon/(nr),
+    with epsilon = e in case 1 and bounded by n in case 2: an oracle for
+    the closed forms 0 and (e-n)/(nr)."""
+    g, q, r = problem.curve.g, problem.Q.rank, problem.r
+    n = problem.curve.p * q
+    e = r * (problem.Q.degree + (r - q) * (g - 1))
+    base = pushforward_numerics(problem.Q, problem.curve).slope - Fraction(n - r, n) * (g - 1)
+    return base - (Fraction(e, n * r) if e <= n - 1 else Fraction(1, r))
+
+
 class TestPushforward:
     @pytest.mark.parametrize(
         "q,d,g,p,rank,deg",
@@ -54,6 +72,13 @@ class TestHirschowitzBound:
             hirschowitz_bound(3, 0, 3, 2)
         with pytest.raises(ValueError):
             hirschowitz_bound(3, 0, 0, 2)
+
+    def test_equals_the_fraction_chain(self):
+        for n, d, g in itertools.product(range(2, 14), range(-20, 21), range(2, 6)):
+            for m in range(1, n):
+                eps, bound = hirschowitz_bound(n, d, m, g)
+                assert type(bound) is Fraction
+                assert (eps, bound) == fraction_chain_hirschowitz_bound(n, d, m, g)
 
     def test_congruence_holds_on_grid(self):
         for n, d, m, g in itertools.product(range(2, 9), range(-5, 6), range(1, 8), range(2, 5)):
@@ -98,6 +123,22 @@ class TestQuotNonempty:
                     assert cert.hypothesis_met
                     assert cert.slope_lower_bound >= 0
                     assert cert.case in (1, 2)
+
+    def test_equals_the_fraction_chain(self):
+        for q, p, g in itertools.product(range(1, 5), (2, 3, 5, 7, 11, 13), range(2, 6)):
+            curve = CurveParams(g, p)
+            for r in range(q + 1, p * q):
+                lo = -(r - q) * (g - 1)
+                for deg in range(lo - 3, 12):
+                    problem = QuotProblem(BundleNumerics(q, deg), r, curve)
+                    cert = quot_nonempty(problem)
+                    if deg < lo:
+                        assert not cert.hypothesis_met and cert.slope_lower_bound is None
+                        continue
+                    assert type(cert.slope_lower_bound) is Fraction
+                    assert cert.slope_lower_bound == fraction_chain_quot_bound(problem)
+                    if cert.case == 1:
+                        assert cert.slope_lower_bound == 0
 
     def test_case_split_matches_residue(self):
         # residue r[deg(Q)+(r-q)(g-1)] decides the branch
