@@ -9,6 +9,8 @@ failure (counterexample found), 2 usage error.
 Only what ``enumerate`` and ``strata`` run is imported at module level; the
 other subcommands import their modules (frobenius, filtrations, laws) in
 their own bodies, so a process starts up paying only for its command.
+``enumerate`` and ``strata`` print no rational, so they never load
+``fractions`` (nor the ``decimal`` and ``numbers`` it imports).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Iterable, Iterator, Sequence
 
 from .core import (
@@ -43,13 +44,20 @@ def _style_header(text: str) -> str:
     return f"\033[1m{text}\033[0m"
 
 
+def _is_fraction(value: Any) -> bool:
+    """Whether ``value`` is a ``Fraction``; none can exist before ``fractions``
+    is imported, so this does not import it."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
 def _cell(value: Any) -> str:
     """One csv/table cell: ``[1, 1]`` prints as ``1,1`` and ``[[1, 1], [2]]``
     as ``1,1 2``."""
     if isinstance(value, list):
         sep = " " if value and isinstance(value[0], list) else ","
         return sep.join(_cell(v) for v in value)
-    if isinstance(value, Fraction):
+    if _is_fraction(value):
         return format_rational(value)
     if isinstance(value, bool):
         return str(value).lower()
@@ -60,7 +68,7 @@ def _cell(value: Any) -> str:
 
 def _json_default(value: Any) -> Any:
     """What the JSON encoder writes for a value it has no rule for."""
-    if isinstance(value, Fraction):
+    if _is_fraction(value):
         return rational_to_json(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 

@@ -13,11 +13,13 @@ one Python-int bitset of dominating elements per polygon.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, groupby
 from math import lcm
 from operator import index, le
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _is_prime(n: int) -> bool:
@@ -55,11 +57,15 @@ def _is_prime(n: int) -> bool:
 def _require_integers(**values: object) -> None:
     """Raise ``ValueError`` unless every value is an integer to
     :func:`operator.index`, so that no float or string reaches the arithmetic."""
-    for name, value in values.items():
-        try:
+    try:
+        for value in values.values():
             index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    except TypeError:
+        for name, value in values.items():  # find the first value at fault
+            try:
+                index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _integer_tuple(name: str, values: Iterable[object]) -> tuple[int, ...]:
@@ -90,9 +96,10 @@ class _Value:
     ``__slots__`` order.  A record that checks nothing declares only that, and
     ``_defaults`` for the fields that may be omitted: this constructor binds
     positional arguments, then keywords, then defaults, and raises
-    ``TypeError`` as Python's own binding does.  A class with checks writes its
-    own ``__init__``, which runs them and then sets each field once through
-    ``object.__setattr__``.  It does not chain to this one for speed: that
+    ``TypeError`` as Python's own binding does; a call that gives every field,
+    all by position or all by keyword, skips that search.  A class with checks
+    writes its own ``__init__``, which runs them and then sets each field once
+    through ``object.__setattr__``.  It does not chain to this one for speed: that
     costs about 1.5 µs more per object, and took building the 5767 polygons of
     r=7 g=3 from 12 to 20 ms on a 2-CPU host (Python 3.11).  Equality needs
     the exact class and equal field values, the hash is that of the field
@@ -103,15 +110,26 @@ class _Value:
 
     __slots__ = ()
     _fields: tuple[str, ...]  # every slot of the class, base classes first
+    _field_set: frozenset[str]
     _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(name for klass in reversed(cls.__mro__)
                             for name in klass.__dict__.get("__slots__", ()))
+        cls._field_set = frozenset(cls._fields)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        name, fields = self.__class__.__qualname__, self._fields
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):
+            for field, value in zip(fields, args):
+                object.__setattr__(self, field, value)
+            return
+        if not args and kwargs.keys() == self._field_set:
+            for field in fields:
+                object.__setattr__(self, field, kwargs[field])
+            return
+        name = self.__class__.__qualname__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} positional arguments "
                             f"but {len(args)} were given")
@@ -190,6 +208,8 @@ class BundleNumerics(_Value):
 
     @property
     def slope(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.degree, self.rank)
 
 
@@ -244,6 +264,8 @@ class HNPolygon(_Value):
 
     def segment_slopes(self) -> tuple[Fraction, ...]:
         """Slopes of the segments, left to right (strictly decreasing)."""
+        from fractions import Fraction
+
         return tuple(
             Fraction(d1 - d0, r1 - r0)
             for (r0, d0), (r1, d1) in zip(self.breakpoints, self.breakpoints[1:])
@@ -263,15 +285,23 @@ class HNPolygon(_Value):
         return tuple(reversed(segs))
 
     def value_at(self, x: int | Fraction) -> Fraction:
-        """Piecewise-linear interpolation at an ``int`` or ``Fraction`` ``x``, exact."""
+        """Piecewise-linear interpolation at an ``int`` or ``Fraction`` ``x``, exact.
+
+        With x = a/b on the segment from (r0, d0) to (r1, d1) of width w, the
+        value d0 + (d1 - d0)(x - r0)/w is one fraction of integers:
+        (d0 w b + (d1 - d0)(a - r0 b)) / (w b).
+        """
+        from fractions import Fraction
+
         if not isinstance(x, (int, Fraction)):
             raise ValueError(f"abscissa must be an int or a Fraction, got {x!r}")
-        x = Fraction(x)
-        if x < 0 or x > self.total_rank:
+        a, b = x.numerator, x.denominator
+        if a < 0 or a > self.total_rank * b:
             raise ValueError(f"abscissa {x} outside [0, {self.total_rank}]")
         for (r0, d0), (r1, d1) in zip(self.breakpoints, self.breakpoints[1:]):
-            if x <= r1:
-                return d0 + Fraction(d1 - d0, r1 - r0) * (x - r0)
+            if a <= r1 * b:
+                w = r1 - r0
+                return Fraction(d0 * w * b + (d1 - d0) * (a - r0 * b), w * b)
         raise AssertionError("unreachable")
 
     def to_json(self) -> dict:

@@ -107,16 +107,35 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
     """Independent oracle: enumerate quotient data (rank, degree) vectors
-    within the proven degree bounds, each degree kept to slopes that
-    increase by at most the gap, and keep those of total degree 0.  Slower
-    than :func:`enumerate_admissible` but structurally unrelated to it."""
+    within the proven degree bounds and keep those of total degree 0.
+    Slower than :func:`enumerate_admissible` but structurally unrelated to it.
+
+    For each composition of r into parts n_0, ..., n_{l-1} read bottom-up,
+    the degree d of part i ranges over the integers that meet every necessary
+    condition below, so the walk is exhaustive.  Let S be the degree of the
+    earlier parts, R the rank of the later ones and D = -(S + d) their degree
+    (the total is 0), and W = sum over j > i of n_j (j - i).
+
+    * Each slope lies within (l-1)(2g-2) of 0, and is strictly above the
+      previous slope by at most the gap 2g-2.
+    * Every later slope d_j/n_j exceeds d/n, so n d_j >= n_j d + 1, and
+      summed over the later parts n D >= R d + 1 when R > 0, that is
+      (n + R) d <= -n S - 1.
+    * The later slope k parts up is at most d/n + k (2g-2) by the gap, so
+      n d_j <= n_j d + n n_j (j - i)(2g-2), and summed n D <= R d + n (2g-2) W,
+      that is (n + R) d >= -n S - n (2g-2) W.
+
+    The last part's degree is then fixed at -S and kept if it meets the
+    slope bounds.
+    """
     _require_integers(rank=r, genus=g)
     if r < 2 or g < 2:
         raise ValueError("need r >= 2 and g >= 2")
     gap = 2 * g - 2
     found: set[HNPolygon] = set()
 
-    def extend(degrees: tuple[int, ...], comp: tuple[int, ...], bound: int) -> None:
+    def extend(degrees: tuple[int, ...], total: int, comp: tuple[int, ...],
+               later: tuple[tuple[int, int], ...], bound: int) -> None:
         i = len(degrees)
         n = comp[i]
         lo, hi = -n * bound, n * bound
@@ -127,17 +146,26 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
             hi = min(hi, n * (d0 + gap * n0) // n0)
         if i == len(comp) - 1:
             # total degree 0 fixes the last degree
-            d = -sum(degrees)
-            if lo <= d <= hi:
-                found.add(polygon_from_quotient_data(comp, degrees + (d,)))
+            if lo <= -total <= hi:
+                found.add(polygon_from_quotient_data(comp, degrees + (-total,)))
             return
+        rank, weight = later[i]
+        # the later slopes lie above d/n and within the gap of it, step by step
+        lo = max(lo, -((n * total + n * gap * weight) // (n + rank)))
+        hi = min(hi, (-n * total - 1) // (n + rank))
         for d in range(lo, hi + 1):
-            extend(degrees + (d,), comp, bound)
+            extend(degrees + (d,), total + d, comp, later, bound)
 
     for l in range(1, r + 1):
         bound = (l - 1) * gap
         for comp in _compositions(r, l):
-            extend((), comp, bound)
+            # later[i] = (R, W) of part i, as suffix sums: W_i = W_{i+1} + R_i
+            later, rank, weight = [], 0, 0
+            for n in reversed(comp):
+                weight += rank
+                later.append((rank, weight))
+                rank += n
+            extend((), 0, comp, tuple(reversed(later)), bound)
     return tuple(sorted(found, key=lambda p: p.breakpoints))
 
 
@@ -195,6 +223,8 @@ def verify_target_inequalities(polygon: HNPolygon, g: int) -> bool:
     Equivalent to dominance by the oper polygon of the same rank.
     """
     _require_integers(genus=g)
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
     if polygon.breakpoints[-1][1] != 0:
         raise ValueError("target inequalities apply to degree-0 polygons")
     qd = polygon.quotient_data()  # slopes increasing: bottom-up order

@@ -72,8 +72,11 @@ def dormant_sum_identity(r: int, g: int) -> bool:
 
     An identity, exposed as a checkable law.
     """
+    _require_integers(rank=r, genus=g)
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
     deg_q = -(r - 1) * (g - 1)
     total = sum(deg_q + i * (2 * g - 2) for i in range(r))
     return total == 0

@@ -1,5 +1,6 @@
 import itertools
 import operator
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -14,6 +15,7 @@ from opercalc import (
     OperShape,
     PosetDescription,
     QuotProblem,
+    dormant_sum_identity,
     enumerate_admissible,
     enumerate_admissible_slow,
     expected_dimensions,
@@ -34,6 +36,7 @@ from opercalc import (
 )
 from opercalc.core import _is_prime
 from opercalc.filtrations import sun_gap_term
+from opercalc.laws import random_polygon
 
 
 def _below(a: HNPolygon, b: HNPolygon) -> bool:
@@ -56,6 +59,16 @@ def _below(a: HNPolygon, b: HNPolygon) -> bool:
         if y * width > d0 * width + (d1 - d0) * (x - r0):
             return False
     return True
+
+
+def fraction_chain_value_at(poly: HNPolygon, x) -> Fraction:
+    """d0 + ((d1 - d0)/(r1 - r0))(x - r0) on the segment that holds x, one
+    Fraction operation at a time: an oracle for the integer form."""
+    x = Fraction(x)
+    for (r0, d0), (r1, d1) in zip(poly.breakpoints, poly.breakpoints[1:]):
+        if x <= r1:
+            return d0 + Fraction(d1 - d0, r1 - r0) * (x - r0)
+    raise AssertionError("x beyond the last breakpoint")
 
 
 def reference_shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:
@@ -177,6 +190,12 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
     lambda: verify_target_inequalities(oper_polygon(3, 2), 2.5),
     lambda: key_inequality_check(3.0, [0, 1]),
     lambda: key_inequality_check(3, [0.5, 1]),
+    lambda: dormant_sum_identity(3, 2.5),
+    lambda: dormant_sum_identity("3", 2),
+    lambda: dormant_sum_identity(2.5, 3),
+    # integers, but a genus below 2, which oper_polygon and threshold_C refuse
+    lambda: dormant_sum_identity(3, 1),
+    lambda: dormant_sum_identity(3, 0),
 ], ids=["curve-genus", "curve-char", "bundle-degree", "bundle-rank", "pushforward",
         "value-at-float", "value-at-str", "threshold-genus", "threshold-rank", "dimensions",
         "oper-shape-length", "quot-target-rank", "hirschowitz-degree", "threshold-genus-1",
@@ -184,7 +203,9 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
         "oper-polygon-rank", "enumerate-rank", "slow-oracle-genus", "brute-force-cap",
         "sun-gap-genus", "sun-gap-char", "sun-gap-part", "sun-gap-no-parts",
         "worst-case-rank", "oper-bound-flag-length", "oper-bound-genus",
-        "target-inequalities-genus", "key-inequality-length", "key-inequality-m"])
+        "target-inequalities-genus", "key-inequality-length", "key-inequality-m",
+        "dormant-genus", "dormant-rank-str", "dormant-rank", "dormant-genus-1",
+        "dormant-genus-0"])
 def test_rejects_a_non_integer_input(call):
     with pytest.raises(ValueError):
         call()
@@ -283,6 +304,24 @@ class TestHNPolygon:
     def test_value_at_interpolates_exactly(self):
         poly = HNPolygon(((0, 0), (1, 1), (3, 0)))
         assert poly.value_at(2) == Fraction(1, 2)
+
+    def test_value_at_equals_the_fraction_chain(self):
+        rng = random.Random(20261018)
+        for rank in range(1, 9):
+            for _ in range(25):
+                poly = random_polygon(rng, rank)
+                halves = [Fraction(2 * k + 1, 2) for k in range(rank)]
+                for x in [*range(rank + 1), *halves]:
+                    value = poly.value_at(x)
+                    assert type(value) is Fraction
+                    assert value == fraction_chain_value_at(poly, x)
+
+    @pytest.mark.parametrize("x, shown", [(-1, "-1"), (4, "4"), (Fraction(7, 2), "7/2"),
+                                          (Fraction(-1, 3), "-1/3")])
+    def test_value_at_refuses_an_abscissa_outside_the_polygon(self, x, shown):
+        poly = HNPolygon(((0, 0), (1, 1), (3, 0)))
+        with pytest.raises(ValueError, match=f"abscissa {shown} outside \\[0, 3\\]"):
+            poly.value_at(x)
 
     def test_json_round_trip(self):
         poly = HNPolygon(((0, 0), (1, 2), (2, 2), (3, 0)))

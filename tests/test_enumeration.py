@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 
 import pytest
@@ -11,11 +12,64 @@ from opercalc import (
     enumerate_admissible_slow,
     key_inequality_check,
     oper_polygon,
+    polygon_from_quotient_data,
     shatz_leq,
     strata_poset,
     verify_oper_maximality,
     verify_target_inequalities,
 )
+
+
+def unpruned_slow_oracle(r, g):
+    """The quotient-data walk without the bounds from the later parts: each
+    degree is kept only to slopes within (l-1)(2g-2) of 0 that increase by at
+    most the gap, and total degree 0 fixes the last one.  An oracle for the
+    pruned walk of ``enumerate_admissible_slow``."""
+    gap = 2 * g - 2
+    found = set()
+
+    def extend(degrees, comp, bound):
+        i = len(degrees)
+        n = comp[i]
+        lo, hi = -n * bound, n * bound
+        if degrees:
+            d0, n0 = degrees[-1], comp[i - 1]
+            lo = max(lo, n * d0 // n0 + 1)
+            hi = min(hi, n * (d0 + gap * n0) // n0)
+        if i == len(comp) - 1:
+            d = -sum(degrees)
+            if lo <= d <= hi:
+                found.add(polygon_from_quotient_data(comp, degrees + (d,)))
+            return
+        for d in range(lo, hi + 1):
+            extend(degrees + (d,), comp, bound)
+
+    for l in range(1, r + 1):
+        # a composition of r into l parts is a choice of l - 1 cuts in 1 .. r-1
+        for cuts in itertools.combinations(range(1, r), l - 1):
+            ends = (0,) + cuts + (r,)
+            extend((), tuple(b - a for a, b in zip(ends, ends[1:])), (l - 1) * gap)
+    return tuple(sorted(found, key=lambda p: p.breakpoints))
+
+
+def slow_oracle_walk(r, g):
+    """The polygons of ``enumerate_admissible_slow(r, g)``, the calls of its
+    ``extend`` (nodes of the walk) and those that fix the last degree (leaves)."""
+    nodes = leaves = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes, leaves
+        if event == "call" and frame.f_code.co_name == "extend":
+            nodes += 1
+            args = frame.f_locals
+            leaves += len(args["degrees"]) == len(args["comp"]) - 1
+
+    sys.setprofile(count)
+    try:
+        polys = enumerate_admissible_slow(r, g)
+    finally:
+        sys.setprofile(None)
+    return polys, nodes, leaves
 
 
 class TestEnumerateAdmissible:
@@ -60,9 +114,11 @@ class TestEnumerateAdmissible:
             enumerate_admissible(3, 2)
 
     def test_counts_at_ranks_nine_and_ten(self):
-        # both counts agree with enumerate_admissible_slow, which takes about
-        # 3 s and 16 s at these ranks and so is not rerun here
-        assert len(enumerate_admissible(9, 2)) == 4513
+        # the slow oracle takes about 0.1 s at r=9 and 0.4 s at r=10, where
+        # the count agrees with it too
+        polys = enumerate_admissible(9, 2)
+        assert len(polys) == 4513
+        assert polys == enumerate_admissible_slow(9, 2)
         report = verify_oper_maximality(10, 2)
         assert report.passed
         assert report.count == 15126
@@ -101,8 +157,23 @@ class TestEnumerateAdmissible:
                 assert hi - lo <= gap
 
     def test_slow_oracle_agrees(self):
-        for r, g in itertools.product(range(2, 8), range(2, 5)):
+        grid = [*itertools.product(range(2, 8), range(2, 5)), (8, 2), (8, 3)]
+        for r, g in grid:
             assert enumerate_admissible(r, g) == enumerate_admissible_slow(r, g)
+
+    def test_pruned_oracle_equals_the_unpruned_walk(self):
+        for r, g in itertools.product(range(2, 7), range(2, 5)):
+            assert enumerate_admissible_slow(r, g) == unpruned_slow_oracle(r, g)
+
+    @pytest.mark.parametrize("r, g", itertools.product(range(2, 7), (2, 3)))
+    def test_pruned_oracle_reaches_no_dead_leaf(self, r, g):
+        # One step before the last part, the bounds from the later parts are
+        # the last slope's own conditions, so every leaf the walk reaches is a
+        # polygon; a bound loosened by one adds leaves that are not.
+        polys, nodes, leaves = slow_oracle_walk(r, g)
+        assert leaves == len(polys)
+        if (r, g) == (6, 3):
+            assert (nodes, leaves) == (2255, 1155)  # unpruned: 44 119 nodes, 33 936 leaves
 
     def test_count_weakly_increasing_in_genus(self):
         for r in range(2, 6):
@@ -168,6 +239,13 @@ class TestVerifyTargetInequalities:
 
     def test_trivial_polygon(self):
         assert verify_target_inequalities(HNPolygon.trivial(4), 2)
+
+    @pytest.mark.parametrize("g", [1, 0, -2])
+    def test_rejects_genus_below_two(self, g):
+        # below genus 2 the bound (g-1) n_low n_high is 0 or negative, and
+        # answering False would read as a polygon above the oper polygon
+        with pytest.raises(ValueError, match="genus must be >= 2"):
+            verify_target_inequalities(oper_polygon(3, 2), g)
 
     def test_rejects_nonzero_total_degree(self):
         with pytest.raises(ValueError):

@@ -39,17 +39,23 @@ PUBLIC_NAMES = [
 # which imports `ast`, `dis` and `tokenize`, about 9 ms of every start-up.
 UNNEEDED_MODULES = ["dataclasses", "inspect"]
 
+# `fractions` and the `decimal` and `numbers` it imports: loaded only by the
+# commands that compute a rational, never by `enumerate`, `strata` or the
+# slow oracle.
+FRACTION_MODULES = ["decimal", "fractions", "numbers"]
+
 
 def opercalc_modules_after(statements: str) -> list[str]:
     """The sorted ``opercalc`` entries of ``sys.modules``, and those of
-    :data:`UNNEEDED_MODULES`, once ``statements`` have run in a fresh
-    interpreter, with their stdout discarded."""
+    :data:`UNNEEDED_MODULES` and :data:`FRACTION_MODULES`, once ``statements``
+    have run in a fresh interpreter, with their stdout discarded."""
     script = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in statements.splitlines())
         + "print(json.dumps(sorted(m for m in sys.modules"
-        f" if m == 'opercalc' or m.startswith('opercalc.') or m in {UNNEEDED_MODULES!r})))\n"
+        " if m == 'opercalc' or m.startswith('opercalc.')"
+        f" or m in {UNNEEDED_MODULES + FRACTION_MODULES!r})))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
@@ -68,20 +74,33 @@ class TestImportSet:
          "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--format', 'csv'])"
          " == 0", []),
         ("from opercalc import cli\n"
+         "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--format', 'json'])"
+         " == 0", []),
+        ("from opercalc import cli\n"
+         "assert cli.run(['enumerate', '--rank', '3', '--genus', '2']) == 0", []),
+        ("from opercalc import cli\n"
          "assert cli.run(['strata', '--rank', '3', '--genus', '2']) == 0", []),
         ("from opercalc import cli\n"
          "assert cli.run(['pushforward', '--rank', '2', '--degree', '1', '--genus', '2',"
-         " '--char', '3']) == 0", ["opercalc.frobenius"]),
+         " '--char', '3']) == 0", ["opercalc.frobenius", *FRACTION_MODULES]),
         ("from opercalc import cli\n"
          "assert cli.run(['optimize', '--weight', '4', '--cap', '2']) == 0",
-         ["opercalc.filtrations"]),
+         ["opercalc.filtrations", *FRACTION_MODULES]),
         ("from opercalc import cli\n"
          "assert cli.run(['check-laws']) == 0",
-         ["opercalc.filtrations", "opercalc.frobenius", "opercalc.laws"]),
-    ], ids=["import", "enumerate-verify", "enumerate-csv", "strata", "pushforward",
-            "optimize", "check-laws"])
+         ["opercalc.filtrations", "opercalc.frobenius", "opercalc.laws", *FRACTION_MODULES]),
+    ], ids=["import", "enumerate-verify", "enumerate-csv", "enumerate-json",
+            "enumerate-table", "strata", "pushforward", "optimize", "check-laws"])
     def test_cli_imports_only_what_its_command_runs(self, statements, extra):
         assert opercalc_modules_after(statements) == sorted(CLI_MODULES + extra)
+
+    def test_the_slow_oracle_cross_check_loads_no_fractions(self):
+        # what perfbench/crosscheck.py runs, through the package attributes
+        assert opercalc_modules_after(
+            "import opercalc\n"
+            "assert opercalc.enumerate_admissible_slow(4, 3)"
+            " == opercalc.enumerate_admissible(4, 3)"
+        ) == ["opercalc", "opercalc.core", "opercalc.enumeration", "opercalc.opers"]
 
     def test_package_import_loads_no_submodule(self):
         assert opercalc_modules_after("import opercalc") == ["opercalc"]

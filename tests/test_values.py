@@ -69,6 +69,8 @@ def test_keyword_and_positional_construction_agree(cls):
     fields = FIELDS[cls]
     value = cls(**fields)
     assert value == cls(*fields.values())
+    first, *rest = fields
+    assert value == cls(fields[first], **{name: fields[name] for name in rest})
     assert {name: getattr(value, name) for name in fields} == fields
 
 
