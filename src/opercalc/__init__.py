@@ -44,12 +44,10 @@ _EXPORTS = {
             "worst_case_subbundle_slope_bound",
         ),
         "frobenius": (
-            "DestabilizationPredicates",
             "ExpectedDimensions",
             "MaxDegreeCertificate",
             "QuotCertificate",
             "QuotProblem",
-            "destabilization_predicates",
             "expected_dimensions",
             "hirschowitz_bound",
             "maxdegree_certificate",

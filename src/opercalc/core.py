@@ -93,11 +93,10 @@ class _Value:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``__slots__``; positional order is
-    ``__slots__`` order.  A record that checks nothing declares only that, and
-    ``_defaults`` for the fields that may be omitted: this constructor binds
-    positional arguments, then keywords, then defaults, and raises
-    ``TypeError`` as Python's own binding does; a call that gives every field,
-    all by position or all by keyword, skips that search.  A class with checks
+    ``__slots__`` order.  A record that checks nothing declares only that:
+    this constructor takes every field, all by position, all by keyword, or
+    some by position and the rest by keyword, and raises ``TypeError``
+    naming the class and its fields for any other call.  A class with checks
     writes its own ``__init__``, which runs them and then sets each field once
     through ``object.__setattr__``.  It does not chain to this one for speed: that
     costs about 1.5 µs more per object, and took building the 5767 polygons of
@@ -111,7 +110,6 @@ class _Value:
     __slots__ = ()
     _fields: tuple[str, ...]  # every slot of the class, base classes first
     _field_set: frozenset[str]
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -129,19 +127,14 @@ class _Value:
             for field in fields:
                 object.__setattr__(self, field, kwargs[field])
             return
-        name = self.__class__.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
-                            f"but {len(args)} were given")
-        for field in kwargs:
-            if field not in fields[len(args):]:
-                fault = "multiple values for" if field in fields else "an unexpected keyword"
-                raise TypeError(f"{name}() got {fault} argument {field!r}")
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        for field in fields:
-            if field not in values:
-                raise TypeError(f"{name}() missing required argument {field!r}")
-            object.__setattr__(self, field, values[field])
+        rest = fields[len(args):]
+        if len(args) > len(fields) or kwargs.keys() != set(rest):
+            raise TypeError(f"{self.__class__.__qualname__}() takes exactly the fields "
+                            f"{', '.join(fields)}, by position or by keyword")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        for field in rest:
+            object.__setattr__(self, field, kwargs[field])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -262,15 +255,6 @@ class HNPolygon(_Value):
     def endpoint(self) -> tuple[int, int]:
         return self.breakpoints[-1]
 
-    def segment_slopes(self) -> tuple[Fraction, ...]:
-        """Slopes of the segments, left to right (strictly decreasing)."""
-        from fractions import Fraction
-
-        return tuple(
-            Fraction(d1 - d0, r1 - r0)
-            for (r0, d0), (r1, d1) in zip(self.breakpoints, self.breakpoints[1:])
-        )
-
     def quotient_data(self) -> tuple[tuple[int, int], ...]:
         """Per-quotient (rank, degree) pairs read bottom-up.
 
@@ -306,15 +290,6 @@ class HNPolygon(_Value):
 
     def to_json(self) -> dict:
         return {"breakpoints": self.breakpoints}  # json writes tuples as arrays
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HNPolygon":
-        return cls(tuple(obj["breakpoints"]))  # the constructor checks the pairs
-
-    @classmethod
-    def trivial(cls, rank: int) -> "HNPolygon":
-        """The semistable degree-0 polygon: a single segment to (rank, 0)."""
-        return cls(((0, 0), (rank, 0)))
 
 
 def polygon_from_quotient_data(

@@ -21,7 +21,8 @@ from .core import (
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
-# enumerates in 3.7 s and peaks at about 426 MB as a JSON listing.
+# enumerates in 3.7 s and peaks at about 245 MB as a JSON listing, which CI
+# holds under 300 MB.
 MAX_POLYGONS = 250_000
 
 

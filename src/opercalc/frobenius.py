@@ -1,5 +1,4 @@
-"""Frobenius pushforward numerics, subbundle existence bounds and the
-destabilization predicates.
+"""Frobenius pushforward numerics and subbundle existence bounds.
 
 Every predicate distinguishes "hypothesis not met" from "false": the
 underlying statements are one-directional.
@@ -73,7 +72,6 @@ class QuotCertificate(_Value):
     """
 
     __slots__ = ("hypothesis_met", "nonempty", "case", "slope_lower_bound")
-    _defaults = {"case": None, "slope_lower_bound": None}
 
 
 def quot_nonempty(problem: QuotProblem) -> QuotCertificate:
@@ -81,7 +79,7 @@ def quot_nonempty(problem: QuotProblem) -> QuotCertificate:
     p, g = problem.curve.p, problem.curve.g
     q, r = problem.Q.rank, problem.r
     if problem.Q.degree < -(r - q) * (g - 1):
-        return QuotCertificate(hypothesis_met=False, nonempty=None)
+        return QuotCertificate(False, None, None, None)
     n = p * q
     # the existence bound is mu(F_*Q) - ((n-r)/n)(g-1) - epsilon/(nr),
     # and mu(F_*Q) - ((n-r)/n)(g-1) = e/(nr)
@@ -133,30 +131,6 @@ def expected_dimensions(r: int, g: int) -> ExpectedDimensions:
     )
 
 
-class DestabilizationPredicates(_Value):
-    """Component predicates of the destabilized-bundle correspondence.
-
-    ``degree0_target`` is None when deg(V) != 0 (the refined degree -1
-    statement only applies to degree-0 bundles).
-    """
-
-    __slots__ = ("p_exceeds_threshold", "rank_ok", "slope_ok", "degree0_target")
-
-
-def destabilization_predicates(
-    V: BundleNumerics, Q: BundleNumerics, curve: CurveParams
-) -> DestabilizationPredicates:
-    from .opers import threshold_C
-
-    p = curve.require_positive_char()
-    return DestabilizationPredicates(
-        p_exceeds_threshold=p > threshold_C(V.rank, curve.g),
-        rank_ok=Q.rank < V.rank,
-        slope_ok=Q.slope < p * V.slope,
-        degree0_target=(Q.degree == -1) if V.degree == 0 else None,
-    )
-
-
 class MaxDegreeCertificate(_Value):
     """Certificate that the maximal degree of rank-r subbundles of the
     pushforward equals 0.
@@ -169,7 +143,6 @@ class MaxDegreeCertificate(_Value):
 
     __slots__ = ("hypotheses_met", "failed_hypotheses", "max_degree", "slope_upper_bound",
                  "nonempty")
-    _defaults = {"max_degree": None, "slope_upper_bound": None, "nonempty": None}
 
 
 def maxdegree_certificate(
@@ -189,7 +162,7 @@ def maxdegree_certificate(
     if not p > r * (r - 1) * (g - 1):
         failed.append(f"p > r(r-1)(g-1) fails: p={p}, r(r-1)(g-1)={r*(r-1)*(g-1)}")
     if failed:
-        return MaxDegreeCertificate(hypotheses_met=False, failed_hypotheses=tuple(failed))
+        return MaxDegreeCertificate(False, tuple(failed), None, None, None)
     cert = quot_nonempty(QuotProblem(Q, r, curve))
     # p > r(r-1)(g-1) makes the closed-form bound with w = r strictly
     # smaller than mu(Q)/p + 1/r < 1/r, hence every rank-r subbundle has

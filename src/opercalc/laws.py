@@ -37,7 +37,6 @@ from .opers import (
 
 class LawResult(_Value):
     __slots__ = ("name", "passed", "detail")
-    _defaults = {"detail": ""}
 
 
 class Law(_Value):

@@ -23,10 +23,6 @@ class OperShape(_Value):
         object.__setattr__(self, "curve", curve)
 
     @property
-    def type(self) -> int:
-        return self.quotient.rank
-
-    @property
     def rank(self) -> int:
         return self.quotient.rank * self.length
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import operator
 import random
 from fractions import Fraction
@@ -37,6 +38,11 @@ from opercalc import (
 from opercalc.core import _is_prime
 from opercalc.filtrations import sun_gap_term
 from opercalc.laws import random_polygon
+
+
+def semistable(rank: int) -> HNPolygon:
+    """The semistable degree-0 polygon: a single segment to (rank, 0)."""
+    return HNPolygon(((0, 0), (rank, 0)))
 
 
 def _below(a: HNPolygon, b: HNPolygon) -> bool:
@@ -212,7 +218,7 @@ def test_rejects_a_non_integer_input(call):
 
 
 @pytest.mark.parametrize("a, b", [
-    (HNPolygon.trivial(3), oper_polygon(3, 2)),
+    (semistable(3), oper_polygon(3, 2)),
     (BundleNumerics(1, 0), BundleNumerics(2, 1)),
 ], ids=["polygon", "bundle"])
 @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
@@ -271,7 +277,7 @@ class TestBundleNumerics:
 
 class TestHNPolygon:
     def test_trivial_polygon_allowed(self):
-        poly = HNPolygon.trivial(4)
+        poly = HNPolygon(((0, 0), (4, 0)))
         assert poly.breakpoints == ((0, 0), (4, 0))
         assert poly.value_at(2) == 0
 
@@ -325,7 +331,7 @@ class TestHNPolygon:
 
     def test_json_round_trip(self):
         poly = HNPolygon(((0, 0), (1, 2), (2, 2), (3, 0)))
-        assert HNPolygon.from_json(poly.to_json()) == poly
+        assert HNPolygon(json.loads(json.dumps(poly.to_json()))["breakpoints"]) == poly
 
     @pytest.mark.parametrize("breakpoints", [
         [[0, 0], [1.9, 2], [3, 0]],
@@ -333,7 +339,7 @@ class TestHNPolygon:
     ])
     def test_from_json_rejects_non_integer_breakpoint(self, breakpoints):
         with pytest.raises(ValueError, match="breakpoints must be integer pairs"):
-            HNPolygon.from_json({"breakpoints": breakpoints})
+            HNPolygon(breakpoints)
 
     def test_quotient_data_inverts_construction(self):
         ranks, degrees = (1, 2, 1), (-3, 0, 2)
@@ -366,12 +372,14 @@ class TestPolygonFromQuotientData:
         ranks, degrees = (2, 1, 3), (-5, 0, 9)
         poly = polygon_from_quotient_data(ranks, degrees)
         expected = tuple(Fraction(d, n) for n, d in zip(ranks, degrees))
-        assert tuple(reversed(poly.segment_slopes())) == expected
+        segments = zip(poly.breakpoints, poly.breakpoints[1:])
+        slopes = tuple(Fraction(d1 - d0, r1 - r0) for (r0, d0), (r1, d1) in segments)
+        assert tuple(reversed(slopes)) == expected
 
 
 class TestShatzLeq:
     def test_trivial_below_everything(self):
-        a = HNPolygon.trivial(2)
+        a = semistable(2)
         b = HNPolygon(((0, 0), (1, 1), (2, 0)))
         assert shatz_leq(a, b)
         assert not shatz_leq(b, a)
@@ -387,7 +395,7 @@ class TestShatzLeq:
 
     def test_mismatched_endpoints_raise(self):
         with pytest.raises(ValueError):
-            shatz_leq(HNPolygon.trivial(2), HNPolygon.trivial(3))
+            shatz_leq(semistable(2), semistable(3))
 
     @given(concave_polygons(6), concave_polygons(6), concave_polygons(6))
     def test_partial_order_laws(self, a, b, c):
@@ -421,7 +429,7 @@ class TestShatzLeq:
 
 class TestStrataPoset:
     def test_singleton(self):
-        poset = strata_poset([HNPolygon.trivial(3)])
+        poset = strata_poset([semistable(3)])
         assert len(poset.elements) == 1
         assert poset.covers == ()
 
@@ -434,7 +442,7 @@ class TestStrataPoset:
         assert len(poset.maximal_indices()) == 2
 
     def test_chain_with_unique_maximum(self):
-        trivial = HNPolygon.trivial(3)
+        trivial = semistable(3)
         mid = HNPolygon(((0, 0), (1, 1), (2, 1), (3, 0)))
         top = HNPolygon(((0, 0), (1, 2), (2, 2), (3, 0)))
         poset = strata_poset([top, trivial, mid])
@@ -447,7 +455,7 @@ class TestStrataPoset:
 
     def test_mismatched_endpoints_raise(self):
         with pytest.raises(ValueError):
-            strata_poset([HNPolygon.trivial(2), HNPolygon.trivial(3)])
+            strata_poset([semistable(2), semistable(3)])
 
     @pytest.mark.parametrize(
         "r, g", [(r, 2) for r in range(2, 6)] + [(r, 3) for r in range(2, 5)]
@@ -500,4 +508,4 @@ class TestStrataPoset:
         (top,) = poset.maximal_indices()
         assert poset.elements[top] == oper_polygon(7, 3)
         (bottom,) = poset.minimal_indices()
-        assert poset.elements[bottom] == HNPolygon.trivial(7)
+        assert poset.elements[bottom] == semistable(7)

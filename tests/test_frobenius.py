@@ -7,7 +7,6 @@ from opercalc import (
     BundleNumerics,
     CurveParams,
     QuotProblem,
-    destabilization_predicates,
     expected_dimensions,
     hirschowitz_bound,
     maxdegree_certificate,
@@ -125,20 +124,28 @@ class TestQuotNonempty:
                     assert cert.case in (1, 2)
 
     def test_equals_the_fraction_chain(self):
+        # Case 2 starts at deg = lo + ceil(pq/r) <= lo + p, as r > q, so a
+        # window of p + 6 degrees from lo - 3 reaches both cases.
+        checked = 0
         for q, p, g in itertools.product(range(1, 5), (2, 3, 5, 7, 11, 13), range(2, 6)):
             curve = CurveParams(g, p)
             for r in range(q + 1, p * q):
                 lo = -(r - q) * (g - 1)
-                for deg in range(lo - 3, 12):
+                cases = set()
+                for deg in range(lo - 3, lo + p + 3):
+                    checked += 1
                     problem = QuotProblem(BundleNumerics(q, deg), r, curve)
                     cert = quot_nonempty(problem)
                     if deg < lo:
                         assert not cert.hypothesis_met and cert.slope_lower_bound is None
                         continue
+                    cases.add(cert.case)
                     assert type(cert.slope_lower_bound) is Fraction
                     assert cert.slope_lower_bound == fraction_chain_quot_bound(problem)
                     if cert.case == 1:
                         assert cert.slope_lower_bound == 0
+                assert cases == {1, 2}, (q, p, g, r)
+        assert checked == 20_608
 
     def test_case_split_matches_residue(self):
         # residue r[deg(Q)+(r-q)(g-1)] decides the branch
@@ -190,35 +197,6 @@ class TestExpectedDimensions:
         assert dims.destabilized_locus_dim is None
         assert dims.quot_expected == 0
         assert dims.oper_quot_degree == -2
-
-
-class TestDestabilizationPredicates:
-    def test_all_true_example(self):
-        preds = destabilization_predicates(
-            BundleNumerics(2, 0), BundleNumerics(1, -1), CurveParams(2, 3)
-        )
-        assert preds.p_exceeds_threshold
-        assert preds.rank_ok
-        assert preds.slope_ok
-        assert preds.degree0_target
-
-    def test_threshold_failure(self):
-        preds = destabilization_predicates(
-            BundleNumerics(3, 0), BundleNumerics(2, -1), CurveParams(2, 5)
-        )
-        assert not preds.p_exceeds_threshold
-
-    def test_rank_equality_fails(self):
-        preds = destabilization_predicates(
-            BundleNumerics(2, 0), BundleNumerics(2, -1), CurveParams(2, 3)
-        )
-        assert not preds.rank_ok
-
-    def test_degree0_target_absent_for_nonzero_degree(self):
-        preds = destabilization_predicates(
-            BundleNumerics(2, 2), BundleNumerics(1, -1), CurveParams(2, 3)
-        )
-        assert preds.degree0_target is None
 
 
 class TestMaxDegreeCertificate:

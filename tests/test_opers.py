@@ -21,7 +21,6 @@ class TestOperShape:
         shape = OperShape(BundleNumerics(2, -1), 3, CurveParams(2))
         assert shape.rank == 6
         assert shape.degree == 3 * (-1 + 2 * 2 * 1)
-        assert shape.type == 2
 
     def test_degree_divisible_by_length(self):
         for r, g, l in itertools.product(range(1, 5), range(2, 5), range(1, 5)):

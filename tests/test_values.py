@@ -9,14 +9,14 @@ from fractions import Fraction
 import pytest
 
 from opercalc import (
-    BundleNumerics, CurveParams, DestabilizationPredicates, ExpectedDimensions,
+    BundleNumerics, CurveParams, ExpectedDimensions,
     FiltrationProfile, HNPolygon, MaxDegreeCertificate, MaximalityReport, OperShape,
     PosetDescription, QuotCertificate, QuotProblem, oper_polygon, pushforward_numerics,
 )
 from opercalc.filtrations import OperSlopeBound
 from opercalc.laws import Law, LawResult, _oper_symmetric, _rank_genus
 
-TRIVIAL = HNPolygon.trivial(2)
+TRIVIAL = HNPolygon(((0, 0), (2, 0)))
 CERTIFICATE = QuotCertificate(hypothesis_met=True, nonempty=True, case=1,
                               slope_lower_bound=Fraction(1, 3))
 
@@ -33,8 +33,6 @@ FIELDS = {
     QuotCertificate: dict(hypothesis_met=True, nonempty=True, case=1,
                           slope_lower_bound=Fraction(1, 3)),
     ExpectedDimensions: dict(destabilized_locus_dim=2, quot_expected=0, oper_quot_degree=-1),
-    DestabilizationPredicates: dict(p_exceeds_threshold=True, rank_ok=True, slope_ok=False,
-                                    degree0_target=None),
     MaxDegreeCertificate: dict(hypotheses_met=True, failed_hypotheses=(), max_degree=0,
                                slope_upper_bound=Fraction(1, 5), nonempty=CERTIFICATE),
     FiltrationProfile: dict(parts=(2, 1), cap=2),
@@ -45,23 +43,19 @@ FIELDS = {
 
 # The records that check nothing, so their constructor only binds arguments to fields.
 RECORDS = [PosetDescription, MaximalityReport, QuotCertificate, ExpectedDimensions,
-           DestabilizationPredicates, MaxDegreeCertificate, LawResult, Law, OperSlopeBound]
+           MaxDegreeCertificate, LawResult, Law, OperSlopeBound]
 
-# The fields a constructor may omit, and the values it then takes.
+# The fields a constructor may omit, and the values it then takes.  A record
+# that checks nothing has none: it takes every field.
 DEFAULTS = [
     (CurveParams, dict(g=2), dict(p=0)),
-    (QuotCertificate, dict(hypothesis_met=False, nonempty=None),
-     dict(case=None, slope_lower_bound=None)),
-    (MaxDegreeCertificate, dict(hypotheses_met=False, failed_hypotheses=("no",)),
-     dict(max_degree=None, slope_upper_bound=None, nonempty=None)),
-    (LawResult, dict(name="law", passed=True), dict(detail="")),
 ]
 
 classes = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
 
 
 def test_every_value_class_is_covered():
-    assert len(FIELDS) == 15
+    assert len(FIELDS) == 14
 
 
 @classes
