@@ -84,10 +84,12 @@ def emit(
     ``record`` is the json output.  Without ``rows``, csv and table print it
     as one row of its values, under ``header`` (default: all its keys, in
     order).  Listings pass ``header`` and ``rows``; ``rows`` is not read for
-    json, so a generator passed there costs nothing on that path.
+    json, so a generator passed there costs nothing on that path.  Every
+    ``record`` is a fresh tree of dicts, lists and tuples built by its command,
+    so it holds no cycle and json skips the scan for one.
     """
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True, default=_json_default))
+        print(json.dumps(record, sort_keys=True, default=_json_default, check_circular=False))
         return
     if rows is None:
         header = list(record) if header is None else header
@@ -180,7 +182,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_sun_bound(args: argparse.Namespace) -> int:
     from .filtrations import FiltrationProfile, sun_bound
 
-    parts = tuple(int(x) for x in args.profile.split(","))
+    try:
+        parts = tuple(int(x) for x in args.profile.split(","))
+        if min(parts) < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError("profile must be comma-separated positive integers, "
+                         f"got {args.profile!r}") from None
     profile = FiltrationProfile(parts, parts[0])
     curve = CurveParams(args.genus, args.char)
     if args.char == 2:

@@ -99,8 +99,11 @@ class _Value:
     naming the class and its fields for any other call.  A class with checks
     writes its own ``__init__``, which runs them and then sets each field once
     through ``object.__setattr__``.  It does not chain to this one for speed: that
-    costs about 1.5 µs more per object, and took building the 5767 polygons of
-    r=7 g=3 from 12 to 20 ms on a 2-CPU host (Python 3.11).  Equality needs
+    costs about 1.5 µs more per object.  The polygons the search yields skip
+    even their own checks (``HNPolygon._from_search``), which its integer bounds
+    prove: re-checking cost about 2 µs a polygon, and without it
+    ``enumerate_admissible(7, 3)`` (5767 polygons) takes 18 ms instead of 28 ms
+    on a 2-CPU host (Python 3.11.7, best of 21).  Equality needs
     the exact class and equal field values, the hash is that of the field
     values, and the repr reads ``Name(field=value, ...)``.  Assigning or
     deleting a field raises ``AttributeError``.  Copies and pickles are
@@ -246,6 +249,18 @@ class HNPolygon(_Value):
         if len(pts) < 2:
             raise ValueError("polygon needs at least two breakpoints")
         object.__setattr__(self, "breakpoints", tuple(pts))
+
+    @classmethod
+    def _from_search(cls, breakpoints: tuple[tuple[int, int], ...]) -> HNPolygon:
+        """The polygon on ``breakpoints``, which this does not check.
+
+        The caller must have proved every invariant the constructor checks:
+        a tuple of ``int`` pairs of at least two points, starting at (0, 0),
+        with strictly increasing ranks and strictly decreasing slopes.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "breakpoints", breakpoints)
+        return poly
 
     @property
     def total_rank(self) -> int:

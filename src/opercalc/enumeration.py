@@ -21,8 +21,8 @@ from .core import (
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
-# enumerates in 3.7 s and peaks at about 245 MB as a JSON listing, which CI
-# holds under 300 MB.
+# lists in about 2 s and peaks at about 170 MB as JSON, which CI holds under
+# 300 MB.
 MAX_POLYGONS = 250_000
 
 
@@ -42,6 +42,12 @@ def _complete(
     ``prev`` is the slope of the last segment as an integer pair
     ``(rise, run)`` with ``run > 0``, or None at the origin.  Chains are
     yielded in increasing lexicographic order of their breakpoints, each once.
+
+    Each chain is a valid :class:`HNPolygon` by construction, so it is built
+    without the constructor's checks: it starts at (0, 0) and ends at (r, 0)
+    with r >= 2 (two points at least); ``x2 > x`` raises the rank at every
+    step; ``y2 <= y2_hi = ceil(y + prev*dx) - 1`` puts each slope strictly
+    below the one before; and every coordinate is an int computed from ints.
     """
     x, y = pts[-1]
     gap = 2 * g - 2
@@ -58,7 +64,7 @@ def _complete(
             y2_lo = y - ((gap * run - rise) * dx) // run
         if x2 == r:
             if y2_lo <= 0 <= y2_hi:
-                yield HNPolygon(tuple(pts) + ((r, 0),))
+                yield HNPolygon._from_search(tuple(pts) + ((r, 0),))
             continue
         rest = r - x2
         # remaining chord slope c = -y2/rest: strictly below the slope

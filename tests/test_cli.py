@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import re
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from opercalc import HNPolygon, enumerate_admissible, enumeration
+from opercalc import HNPolygon, enumerate_admissible, enumerate_admissible_slow, enumeration
 from opercalc.cli import _cell, run
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
@@ -187,6 +188,13 @@ class TestCalculatorCommands:
         )
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("profile", ["0", "1.5", ",", "", "2,0", "2,-1", "a,1"])
+    def test_sun_bound_refuses_a_malformed_profile(self, capture, profile):
+        code, out, err = capture("sun-bound", "--profile", profile, "--genus", "2", "--char", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: profile must be comma-separated positive integers, "
+                       f"got {profile!r}\n")
+
     def test_sun_bound_csv(self, capture):
         code, out, _ = capture(
             "sun-bound", "--profile", "1,1", "--genus", "2", "--char", "5",
@@ -215,6 +223,15 @@ class TestEnumerateCommand:
         assert code == 0
         polys = tuple(HNPolygon(obj["breakpoints"]) for obj in json.loads(out))
         assert polys == enumerate_admissible(3, 2)
+
+    @pytest.mark.parametrize("r, g", itertools.product(range(2, 7), (2, 3)))
+    def test_json_listing_bytes_match_the_slow_oracle(self, capture, r, g):
+        listing = [{"breakpoints": [[x, y] for x, y in p.breakpoints]}
+                   for p in enumerate_admissible_slow(r, g)]
+        code, out, _ = capture(
+            "enumerate", "--rank", str(r), "--genus", str(g), "--format", "json"
+        )
+        assert (code, out) == (0, json.dumps(listing, sort_keys=True) + "\n")
 
     def test_csv_flags_the_oper_polygon(self, capture):
         code, out, _ = capture(

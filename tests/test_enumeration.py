@@ -157,6 +157,17 @@ class TestEnumerateAdmissible:
             for lo, hi in zip(slopes, slopes[1:]):
                 assert hi - lo <= gap
 
+    @pytest.mark.parametrize("r, g", itertools.product(range(2, 9), range(2, 5)))
+    def test_search_builds_what_the_constructor_accepts(self, r, g):
+        # The search skips the constructor's checks, which its bounds prove;
+        # rebuilding through the constructor checks that proof on each polygon.
+        types = set()
+        for poly in iter_admissible(r, g):
+            types.update(map(type, itertools.chain.from_iterable(poly.breakpoints)))
+            checked = HNPolygon(poly.breakpoints)
+            assert checked == poly and hash(checked) == hash(poly)
+        assert types == {int}
+
     def test_slow_oracle_agrees(self):
         grid = [*itertools.product(range(2, 8), range(2, 5)), (8, 2), (8, 3)]
         for r, g in grid:
