@@ -11,16 +11,22 @@ other subcommands import their modules (frobenius, filtrations, laws) in
 their own bodies, so a process starts up paying only for its command.
 ``enumerate`` and ``strata`` print no rational, so they never load
 ``fractions`` (nor the ``decimal`` and ``numbers`` it imports).
+
+``COMMANDS`` is one constant table of each subcommand's handler, help line
+and options.  ``run`` reads ``argv`` against it by argparse's rules (unique
+prefixes, ``--opt=value``, exit 2 with a usage line on stderr) and builds help
+and usage text only to print them.  ``argparse`` itself, with the ``gettext``
+and ``locale`` it loads, cost about 9 ms of every process's start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import sys
-from typing import Any, Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (
     BundleNumerics,
@@ -118,13 +124,13 @@ def _breakpoints_cell(poly: HNPolygon) -> str:
     return ";".join(f"{x},{y}" for x, y in poly.breakpoints)
 
 
-def cmd_oper_polygon(args: argparse.Namespace) -> int:
+def cmd_oper_polygon(args: SimpleNamespace) -> int:
     poly = oper_polygon(args.rank, args.genus)
     emit(args.format, poly.to_json(), ["rank", "degree"], poly.breakpoints)
     return 0
 
 
-def cmd_pushforward(args: argparse.Namespace) -> int:
+def cmd_pushforward(args: SimpleNamespace) -> int:
     from .frobenius import pushforward_numerics
 
     curve = CurveParams(args.genus, args.char)
@@ -133,7 +139,7 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_hirschowitz(args: argparse.Namespace) -> int:
+def cmd_hirschowitz(args: SimpleNamespace) -> int:
     from .frobenius import hirschowitz_bound
 
     eps, bound = hirschowitz_bound(args.n, args.d, args.m, args.genus)
@@ -141,7 +147,7 @@ def cmd_hirschowitz(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_quot(args: argparse.Namespace) -> int:
+def cmd_quot(args: SimpleNamespace) -> int:
     from .frobenius import QuotProblem, quot_dim_lower_bound, quot_nonempty
 
     curve = CurveParams(args.genus, args.char)
@@ -157,7 +163,7 @@ def cmd_quot(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: SimpleNamespace) -> int:
     from .filtrations import max_score_brute_force, max_score_closed_form
 
     closed = max_score_closed_form(args.weight)
@@ -179,7 +185,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0 if agree else VERIFICATION_FAILURE
 
 
-def cmd_sun_bound(args: argparse.Namespace) -> int:
+def cmd_sun_bound(args: SimpleNamespace) -> int:
     from .filtrations import FiltrationProfile, sun_bound
 
     try:
@@ -198,7 +204,7 @@ def cmd_sun_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     if args.verify:
         report = verify_oper_maximality(args.rank, args.genus)
         record = {
@@ -214,12 +220,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 0 if report.passed else VERIFICATION_FAILURE
     polys = enumerate_admissible(args.rank, args.genus)
 
-    def rows() -> Iterator[list[str]]:
+    def rows() -> Iterator[list[Any]]:
         # Runs only when csv or table output reads the rows, not for json.
         top = oper_polygon(args.rank, args.genus)
         under_top = dominated_by(top)
         for p in polys:
-            yield [_breakpoints_cell(p), str(p == top), str(under_top(p))]
+            yield [_breakpoints_cell(p), p == top, under_top(p)]
 
     emit(
         args.format,
@@ -230,7 +236,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_strata(args: argparse.Namespace) -> int:
+def cmd_strata(args: SimpleNamespace) -> int:
     poset = strata_poset(iter_admissible(args.rank, args.genus))
     elements = [_breakpoints_cell(p) for p in poset.elements]
     emit(
@@ -247,7 +253,7 @@ def cmd_strata(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dims(args: argparse.Namespace) -> int:
+def cmd_dims(args: SimpleNamespace) -> int:
     from .frobenius import expected_dimensions
 
     if args.config:
@@ -269,6 +275,12 @@ def cmd_dims(args: argparse.Namespace) -> int:
             )):
                 raise ValueError(f"config {args.config} needs a non-empty list of "
                                  f"integers for {key!r}")
+        for p in chars:
+            try:  # by the rule that every command applies to --char
+                if p is not None:
+                    CurveParams(2, p).require_positive_char()
+            except ValueError as exc:
+                raise ValueError(f"config {args.config} needs primes for 'char': {exc}") from None
         header = ["rank", "genus", "char", "threshold_C", "oper_space_dim",
                   "destabilized_locus_dim", "quot_expected", "oper_quot_degree",
                   "char_exceeds_threshold"]
@@ -302,7 +314,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check_laws(args: argparse.Namespace) -> int:
+def cmd_check_laws(args: SimpleNamespace) -> int:
     from .laws import run_all_laws
 
     results = run_all_laws()
@@ -316,104 +328,129 @@ def cmd_check_laws(args: argparse.Namespace) -> int:
     return 0 if all(res.passed for res in results) else VERIFICATION_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="opercalc",
-        description="Exact calculators and brute-force verifiers for HN polygons, "
-        "oper numerics and Frobenius pushforward slope bounds.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "table"), default="table",
-        help="output format (default: table)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMAT = ("--format", ("json", "csv", "table"), "table", "output format (default: table)")
 
-    sp = sub.add_parser("oper-polygon", parents=[common],
-                        help="polygon with vertices (i, i(r-i)(g-1))")
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
-    sp.set_defaults(func=cmd_oper_polygon)
+# The command table: each subcommand's handler, its one-line help and its
+# options after --format, which every subcommand takes.  An option is (flag,
+# kind, default[, help]), where kind is int, str, a tuple of choices, or bool
+# for a flag that takes no value, and the default ``...`` marks it required.
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, tuple[tuple, ...]]] = {
+    "oper-polygon": (cmd_oper_polygon, "polygon with vertices (i, i(r-i)(g-1))",
+                     (("--rank", int, ...), ("--genus", int, ...))),
+    "pushforward": (cmd_pushforward, "rank/degree/slope of the Frobenius pushforward", (
+        ("--rank", int, ...), ("--degree", int, ...), ("--genus", int, ...),
+        ("--char", int, ...))),
+    "hirschowitz": (cmd_hirschowitz, "guaranteed subbundle slope bound", (
+        ("--n", int, ...), ("--d", int, ...), ("--m", int, ...), ("--genus", int, ...))),
+    "quot": (cmd_quot, "non-emptiness certificate and dimension bounds", (
+        ("--q-rank", int, ...), ("--q-degree", int, ...), ("--rank", int, ...),
+        ("--genus", int, ...), ("--char", int, ...))),
+    "optimize": (cmd_optimize, "maximum of the filtration score", (
+        ("--weight", int, ...), ("--cap", int, ...),
+        ("--oracle", bool, False, "also run the exhaustive enumeration and compare"))),
+    "sun-bound": (cmd_sun_bound, "exact slope gap term for a filtration profile", (
+        ("--profile", str, ..., "comma-separated weakly decreasing parts, e.g. 2,1,1"),
+        ("--genus", int, ...), ("--char", int, ...))),
+    "enumerate": (cmd_enumerate, "all admissible degree-0 polygons of a given rank", (
+        ("--rank", int, ...), ("--genus", int, ...),
+        ("--verify", bool, False, "check dominance by the oper polygon; exit 1 on failure"))),
+    "strata": (cmd_strata, "Hasse diagram of the admissible polygons",
+               (("--rank", int, ...), ("--genus", int, ...))),
+    "dims": (cmd_dims, "threshold constant and dimension identities", (
+        ("--rank", int, None), ("--genus", int, None),
+        ("--config", str, None, "JSON sweep file {rank: [..], genus: [..], char: [..]}; "
+         "emits one CSV row per combination"))),
+    "check-laws": (cmd_check_laws, "run every cross-formula identity", ()),
+}
 
-    sp = sub.add_parser("pushforward", parents=[common],
-                        help="rank/degree/slope of the Frobenius pushforward")
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--char", type=int, required=True)
-    sp.set_defaults(func=cmd_pushforward)
 
-    sp = sub.add_parser("hirschowitz", parents=[common],
-                        help="guaranteed subbundle slope bound")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
-    sp.set_defaults(func=cmd_hirschowitz)
+def _help(name: str | None) -> str:
+    """The --help text of the top level (``name`` None) or of a command.  Its
+    first line is the usage line that a usage error prints."""
+    if name is None:
+        return "\n".join([
+            "usage: opercalc [-h] {%s} ..." % ",".join(COMMANDS), "",
+            "Exact calculators and brute-force verifiers for HN polygons, oper numerics "
+            "and Frobenius pushforward slope bounds.", "", "commands:",
+            *(f"  {command:22}{entry[1]}" for command, entry in COMMANDS.items())])
+    usage = ["usage: opercalc", name, "[-h]"]
+    lines = [COMMANDS[name][1], "", "options:",
+             "  -h, --help            show this help message and exit"]
+    for flag, kind, default, *text in (_FORMAT, *COMMANDS[name][2]):
+        meta = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else flag[2:].upper()
+        spec = flag if kind is bool else f"{flag} {meta.replace('-', '_')}"
+        usage.append(spec if default is ... else f"[{spec}]")
+        text = "; ".join((["required"] if default is ... else []) + text)
+        lines.append(f"  {spec:22}{text}".rstrip() if len(spec) < 21  # else help goes below
+                     else f"  {spec}\n{'':24}{text}")
+    return "\n".join([" ".join(usage), "", *lines])
 
-    sp = sub.add_parser("quot", parents=[common],
-                        help="non-emptiness certificate and dimension bounds")
-    sp.add_argument("--q-rank", type=int, required=True)
-    sp.add_argument("--q-degree", type=int, required=True)
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--char", type=int, required=True)
-    sp.set_defaults(func=cmd_quot)
 
-    sp = sub.add_parser("optimize", parents=[common],
-                        help="maximum of the filtration score")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--cap", type=int, required=True)
-    sp.add_argument("--oracle", action="store_true",
-                    help="also run the exhaustive enumeration and compare")
-    sp.set_defaults(func=cmd_optimize)
+def _is_help(arg: str) -> bool:
+    return arg == "-h" or len(arg) > 2 and "--help".startswith(arg)
 
-    sp = sub.add_parser("sun-bound", parents=[common],
-                        help="exact slope gap term for a filtration profile")
-    sp.add_argument("--profile", type=str, required=True,
-                    help="comma-separated weakly decreasing parts, e.g. 2,1,1")
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--char", type=int, required=True)
-    sp.set_defaults(func=cmd_sun_bound)
 
-    sp = sub.add_parser("enumerate", parents=[common],
-                        help="all admissible degree-0 polygons of a given rank")
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--verify", action="store_true",
-                    help="check dominance by the oper polygon; exit 1 on failure")
-    sp.set_defaults(func=cmd_enumerate)
+def _usage_error(name: str | None, message: str) -> int:
+    usage = _help(name).partition("\n")[0]
+    print(f"{usage}\nopercalc{' ' + name if name else ''}: error: {message}", file=sys.stderr)
+    return USAGE_ERROR
 
-    sp = sub.add_parser("strata", parents=[common],
-                        help="Hasse diagram of the admissible polygons")
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--genus", type=int, required=True)
-    sp.set_defaults(func=cmd_strata)
 
-    sp = sub.add_parser("dims", parents=[common],
-                        help="threshold constant and dimension identities")
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--genus", type=int, default=None)
-    sp.add_argument("--config", type=str, default=None,
-                    help="JSON sweep file {rank: [..], genus: [..], char: [..]}; "
-                    "emits one CSV row per combination")
-    sp.set_defaults(func=cmd_dims)
-
-    sp = sub.add_parser("check-laws", parents=[common],
-                        help="run every cross-formula identity")
-    sp.set_defaults(func=cmd_check_laws)
-
-    return parser
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace] | int:
+    """The handler and options that ``argv`` names, read against ``COMMANDS`` by
+    argparse's rules, or the exit code once help or a usage error is printed."""
+    if not argv or argv[0] not in COMMANDS:
+        if argv and _is_help(argv[0]):
+            print(_help(None))
+            return 0
+        return _usage_error(None, f"argument command: invalid choice: {argv[0]!r} (choose from "
+                            f"{', '.join(map(repr, COMMANDS))})" if argv
+                            else "the following arguments are required: command")
+    name, rest = argv[0], iter(argv[1:])
+    handler, _, options = COMMANDS[name]
+    kinds = {flag: kind for flag, kind, *_ in (_FORMAT, *options)}
+    values = {flag: default for flag, _, default, *_ in (_FORMAT, *options)}
+    for arg in rest:
+        if _is_help(arg):
+            print(_help(name))
+            return 0
+        flag, eq, value = arg.partition("=") if arg[:2] == "--" else (arg, "", "")
+        found = [flag] if flag in kinds else [f for f in kinds if flag[2:] and f.startswith(flag)]
+        if len(found) != 1:
+            return _usage_error(name, f"ambiguous option: {flag} could match {', '.join(found)}"
+                                if found else f"unrecognized arguments: {arg}")
+        flag, kind = found[0], kinds[found[0]]
+        if kind is bool:
+            if eq:
+                return _usage_error(name, f"argument {flag}: ignored explicit argument {value!r}")
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or value[:1] == "-" and not value[1:].replace(".", "", 1).isdecimal():
+                return _usage_error(name, f"argument {flag}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return _usage_error(name, f"argument {flag}: invalid int value: {value!r}")
+        elif kind is not str and value not in kind:
+            return _usage_error(name, f"argument {flag}: invalid choice: {value!r} "
+                                f"(choose from {', '.join(map(repr, kind))})")
+        values[flag] = value
+    missing = [flag for flag, value in values.items() if value is ...]
+    if missing:
+        return _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parsed = _parse(list(sys.argv[1:] if argv is None else argv))
+    if isinstance(parsed, int):
+        return parsed
+    handler, args = parsed
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

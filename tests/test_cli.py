@@ -241,8 +241,9 @@ class TestEnumerateCommand:
         header, *rows = csv.reader(io.StringIO(out))
         assert header == ["breakpoints", "is_oper", "dominated_by_oper"]
         assert len(rows) == len(enumerate_admissible(3, 2))
-        assert sum(row[1] == "True" for row in rows) == 1
-        assert all(row[2] == "True" for row in rows)
+        assert sum(row[1] == "true" for row in rows) == 1
+        assert {row[1] for row in rows} == {"true", "false"}
+        assert all(row[2] == "true" for row in rows)
 
     def test_deterministic_output(self, capture):
         _, first, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "csv")
@@ -322,6 +323,12 @@ class TestSweepConfig:
         ({"genus": [2]}, "'rank'"),
         ({"rank": [2]}, "'genus'"),
         ({"rank": [2], "genus": [2], "char": [True]}, "'char'"),
+        ({"rank": [3], "genus": [2], "char": [4, -7, 0, 1]}, "'char'"),
+        ({"rank": [3], "genus": [2], "char": [5, 4]}, "'char'"),
+        ({"rank": [3], "genus": [2], "char": [None, -7]}, "'char'"),
+        ({"rank": [3], "genus": [2], "char": [0]}, "'char'"),
+        ({"rank": [3], "genus": [2], "char": [1]}, "'char'"),
+        ({"rank": [3], "genus": [2], "char": [318_665_857_834_031_151_167_461]}, "'char'"),
     ])
     def test_malformed_config_is_usage_error(self, capture, tmp_path, sweep, field):
         config = tmp_path / "sweep.json"
@@ -329,7 +336,114 @@ class TestSweepConfig:
         code, out, err = capture("dims", "--config", str(config))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert field in err
+        assert field in err and str(config) in err
+
+
+# Each command's help line and its options beside --format: (flag, required, help).
+COMMAND_HELP = {
+    "oper-polygon": ("polygon with vertices (i, i(r-i)(g-1))",
+                     [("--rank", True, ""), ("--genus", True, "")]),
+    "pushforward": ("rank/degree/slope of the Frobenius pushforward",
+                    [("--rank", True, ""), ("--degree", True, ""), ("--genus", True, ""),
+                     ("--char", True, "")]),
+    "hirschowitz": ("guaranteed subbundle slope bound",
+                    [("--n", True, ""), ("--d", True, ""), ("--m", True, ""),
+                     ("--genus", True, "")]),
+    "quot": ("non-emptiness certificate and dimension bounds",
+             [("--q-rank", True, ""), ("--q-degree", True, ""), ("--rank", True, ""),
+              ("--genus", True, ""), ("--char", True, "")]),
+    "optimize": ("maximum of the filtration score",
+                 [("--weight", True, ""), ("--cap", True, ""),
+                  ("--oracle", False, "also run the exhaustive enumeration and compare")]),
+    "sun-bound": ("exact slope gap term for a filtration profile",
+                  [("--profile", True, "comma-separated weakly decreasing parts, e.g. 2,1,1"),
+                   ("--genus", True, ""), ("--char", True, "")]),
+    "enumerate": ("all admissible degree-0 polygons of a given rank",
+                  [("--rank", True, ""), ("--genus", True, ""),
+                   ("--verify", False, "check dominance by the oper polygon; exit 1 on failure")]),
+    "strata": ("Hasse diagram of the admissible polygons",
+               [("--rank", True, ""), ("--genus", True, "")]),
+    "dims": ("threshold constant and dimension identities",
+             [("--rank", False, ""), ("--genus", False, ""),
+              ("--config", False, "JSON sweep file {rank: [..], genus: [..], char: [..]}; "
+               "emits one CSV row per combination")]),
+    "check-laws": ("run every cross-formula identity", []),
+}
+
+
+def words(text: str) -> str:
+    """``text`` with every run of white space made one blank, so that the
+    checks below do not depend on where help text wraps."""
+    return " ".join(text.split())
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_top_level_help_lists_every_command(self, capture, flag):
+        code, out, err = capture(flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: opercalc")
+        for command, (text, _) in COMMAND_HELP.items():
+            assert f" {command} {text}" in words(out)
+
+    @pytest.mark.parametrize("command", COMMAND_HELP)
+    def test_command_help_lists_every_option(self, capture, command):
+        code, out, err = capture(command, "--help")
+        assert (code, err) == (0, "")
+        text = words(out)
+        assert text.startswith(f"usage: opercalc {command} [-h] [--format {{json,csv,table}}]")
+        assert "--format {json,csv,table} output format (default: table)" in text
+        for flag, required, help_text in COMMAND_HELP[command][1]:
+            assert f" {flag}" in text and help_text in text
+            # the usage line brackets exactly the options that may be left out
+            assert (f"[{flag}" not in text) is required
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "-h"),
+        ("enumerate", "--rank", "3", "--help"),
+        ("enumerate", "--rank", "3", "--genus", "2", "--verify", "--hel"),
+    ])
+    def test_help_after_options(self, capture, argv):
+        code, out, err = capture(*argv)
+        assert (code, err) == (0, "")
+        assert words(out).startswith("usage: opercalc enumerate") and "--verify" in out
+
+    @pytest.mark.parametrize("argv", [
+        "pushforward --rank=1 --degree=-1 --genus=2 --char=3 --format=json",
+        "pushforward --rank 1 --degree=-1 --genus 2 --char 3 --format json",
+        "pushforward --ra 1 --deg -1 --gen 2 --ch 3 --form json",
+        "pushforward --rank 9 --degree 5 --genus 2 --char 3 --format csv"
+        " --rank 1 --degree -1 --format json",
+    ])
+    def test_equals_form_prefixes_negatives_and_last_value(self, capture, argv):
+        expected = capture("pushforward", "--rank", "1", "--degree", "-1", "--genus", "2",
+                           "--char", "3", "--format", "json")
+        assert expected == (0, '{"degree": 1, "rank": 3, "slope": {"den": "3", "num": "1"}}\n', "")
+        assert capture(*argv.split()) == expected
+
+    @pytest.mark.parametrize("argv, named", [
+        ((), "command"),
+        (("no-such-command",), "'no-such-command'"),
+        (("dims", "--bogus"), "--bogus"),
+        (("enumerate", "--rank", "3", "--genus", "2", "extra"), "extra"),
+        (("dims", "--rank"), "--rank"),
+        (("dims", "--rank", "--genus", "2"), "--rank"),
+        (("pushforward", "--rank", "1", "--degree", "-x", "--genus", "2", "--char", "3"),
+         "--degree"),
+        (("dims", "--rank", "x"), "'x'"),
+        (("enumerate", "--rank", "3", "--genus", "2", "--format", "xml"), "'xml'"),
+        (("enumerate", "--rank", "3", "--genus", "2", "--format=js"), "'js'"),
+        (("enumerate", "--rank", "3"), "--genus"),
+        (("quot", "--q-rank", "1"), "--q-degree, --rank, --genus, --char"),
+        (("enumerate", "--rank", "3", "--genus", "2", "--verify=x"), "--verify"),
+        (("quot", "--q", "1", "--rank", "2", "--genus", "2", "--char", "3"), "--q"),
+    ])
+    def test_usage_error(self, capture, argv, named):
+        code, out, err = capture(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: opercalc")
+        last = err.splitlines()[-1]
+        assert last.startswith("opercalc") and ": error: " in last and named in last
 
 
 class TestUsageErrors:

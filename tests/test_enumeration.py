@@ -162,11 +162,14 @@ class TestEnumerateAdmissible:
         # The search skips the constructor's checks, which its bounds prove;
         # rebuilding through the constructor checks that proof on each polygon.
         types = set()
-        for poly in iter_admissible(r, g):
+        count = 0
+        for count, poly in enumerate(iter_admissible(r, g), 1):
             types.update(map(type, itertools.chain.from_iterable(poly.breakpoints)))
             checked = HNPolygon(poly.breakpoints)
             assert checked == poly and hash(checked) == hash(poly)
         assert types == {int}
+        assert count == {(5, 3): 237, (7, 3): 5767, (8, 3): 29_427, (8, 4): 238_211}.get(
+            (r, g), count)
 
     def test_slow_oracle_agrees(self):
         grid = [*itertools.product(range(2, 8), range(2, 5)), (8, 2), (8, 3)]

@@ -36,8 +36,9 @@ PUBLIC_NAMES = [
 
 
 # Standard modules no opercalc process needs: `dataclasses` imports `inspect`,
-# which imports `ast`, `dis` and `tokenize`, about 9 ms of every start-up.
-UNNEEDED_MODULES = ["dataclasses", "inspect"]
+# which imports `ast`, `dis` and `tokenize`, about 9 ms of every start-up, and
+# `argparse` with the `gettext` and `locale` it loads cost about as much.
+UNNEEDED_MODULES = ["argparse", "dataclasses", "gettext", "inspect", "locale"]
 
 # `fractions` and the `decimal` and `numbers` it imports: loaded only by the
 # commands that compute a rational, never by `enumerate`, `strata` or the
@@ -89,8 +90,13 @@ class TestImportSet:
         ("from opercalc import cli\n"
          "assert cli.run(['check-laws']) == 0",
          ["opercalc.filtrations", "opercalc.frobenius", "opercalc.laws", *FRACTION_MODULES]),
+        ("from opercalc import cli\n"
+         "assert cli.run(['enumerate', '--help']) == 0", []),
+        ("from opercalc import cli\n"
+         "assert cli.run(['enumerate', '--rank', 'x']) == 2", []),
     ], ids=["import", "enumerate-verify", "enumerate-csv", "enumerate-json",
-            "enumerate-table", "strata", "pushforward", "optimize", "check-laws"])
+            "enumerate-table", "strata", "pushforward", "optimize", "check-laws", "help",
+            "usage-error"])
     def test_cli_imports_only_what_its_command_runs(self, statements, extra):
         assert opercalc_modules_after(statements) == sorted(CLI_MODULES + extra)
 
