@@ -32,6 +32,7 @@ from .core import (
     BundleNumerics,
     CurveParams,
     HNPolygon,
+    _require_at_least,
     dominated_by,
     format_rational,
     rational_to_json,
@@ -167,8 +168,7 @@ def cmd_optimize(args: SimpleNamespace) -> int:
     from .filtrations import max_score_brute_force, max_score_closed_form
 
     closed = max_score_closed_form(args.weight)
-    if args.cap < 1:
-        raise ValueError(f"cap must be >= 1, got {args.cap}")
+    _require_at_least(1, cap=args.cap)
     if not args.oracle:
         emit(args.format, {"weight": args.weight, "cap": args.cap, "max_score": closed})
         return 0
@@ -264,8 +264,8 @@ def cmd_dims(args: SimpleNamespace) -> int:
             raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from None
         if not isinstance(sweep, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
-        ranks = sweep.get("rank", [args.rank] if args.rank else [])
-        genera = sweep.get("genus", [args.genus] if args.genus else [])
+        ranks = sweep.get("rank", [] if args.rank is None else [args.rank])
+        genera = sweep.get("genus", [] if args.genus is None else [args.genus])
         chars = sweep.get("char", [None])
         for key, values in (("rank", ranks), ("genus", genera), ("char", chars)):
             if not (isinstance(values, list) and values and all(

@@ -55,8 +55,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _require_integers(**values: object) -> None:
-    """Raise ``ValueError`` unless every value is an integer to
-    :func:`operator.index`, so that no float or string reaches the arithmetic."""
+    """Raise ``ValueError`` naming the first value, in argument order, that is
+    not an integer to :func:`operator.index`, so that no float or string reaches
+    the arithmetic.  For arguments with no lower bound; see :func:`_require_at_least`."""
     try:
         for value in values.values():
             index(value)
@@ -66,6 +67,26 @@ def _require_integers(**values: object) -> None:
                 index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _require_at_least(minimum: int, **values: object) -> None:
+    """Raise ``ValueError`` unless every value is an integer >= ``minimum``: name
+    the first non-integer as :func:`_require_integers` does, else the first value
+    below ``minimum``, in argument order.  The only code that words a lower bound;
+    arguments with different minimums take one call each.  Valid values take one pass.
+    """
+    try:
+        for value in values.values():
+            if index(value) < minimum:
+                break
+        else:
+            return
+    except TypeError:
+        pass
+    _require_integers(**values)  # a later non-integer is named before an earlier low value
+    for name, value in values.items():
+        if index(value) < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _integer_tuple(name: str, values: Iterable[object]) -> tuple[int, ...]:
@@ -174,11 +195,8 @@ class CurveParams(_Value):
     __slots__ = ("g", "p")
 
     def __init__(self, g: int, p: int = 0) -> None:
-        _require_integers(genus=g, characteristic=p)
-        if g < 2:
-            raise ValueError(f"genus must be >= 2, got {g}")
-        if p < 0:
-            raise ValueError(f"characteristic must be >= 0, got {p}")
+        _require_at_least(2, genus=g)
+        _require_at_least(0, characteristic=p)
         if p > 0 and not _is_prime(p):
             raise ValueError(f"positive characteristic must be prime, got {p}")
         object.__setattr__(self, "g", g)
@@ -196,9 +214,8 @@ class BundleNumerics(_Value):
     __slots__ = ("rank", "degree")
 
     def __init__(self, rank: int, degree: int) -> None:
-        _require_integers(rank=rank, degree=degree)
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        _require_at_least(1, rank=rank)
+        _require_integers(degree=degree)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degree", degree)
 

@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .core import (
-    HNPolygon, _integer_tuple, _require_integers, _Value, dominated_by, polygon_from_quotient_data,
+    HNPolygon, _integer_tuple, _require_at_least, _Value, dominated_by, polygon_from_quotient_data,
 )
 from .opers import oper_polygon
 
@@ -81,11 +81,7 @@ def _complete(
 
 def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
     """Each admissible degree-0 rank-r polygon in canonical order; checks r, g when called."""
-    _require_integers(rank=r, genus=g)
-    if r < 2:
-        raise ValueError(f"rank must be >= 2, got {r}")
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_at_least(2, rank=r, genus=g)
     # Unit segments with integer slopes s_i = -s_{r+1-i}, falling by 1 or 2
     # at each step, make at least 2^(r//2 - 1) admissible polygons.  Once that
     # exceeds the limit (r >= 38), refuse before a search whose nodes each loop
@@ -135,9 +131,7 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
     The last part's degree is then fixed at -S and kept if it meets the
     slope bounds.
     """
-    _require_integers(rank=r, genus=g)
-    if r < 2 or g < 2:
-        raise ValueError("need r >= 2 and g >= 2")
+    _require_at_least(2, rank=r, genus=g)
     gap = 2 * g - 2
     found: set[HNPolygon] = set()
 
@@ -229,9 +223,7 @@ def verify_target_inequalities(polygon: HNPolygon, g: int) -> bool:
 
     Equivalent to dominance by the oper polygon of the same rank.
     """
-    _require_integers(genus=g)
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_at_least(2, genus=g)
     if polygon.breakpoints[-1][1] != 0:
         raise ValueError("target inequalities apply to degree-0 polygons")
     qd = polygon.quotient_data()  # slopes increasing: bottom-up order
@@ -252,10 +244,8 @@ def key_inequality_check(l: int, m_values: Sequence[int]) -> bool:
     Coefficient j pairs with m_{l-j}, following the displayed formula
     literally.  Always true for nonnegative m_i; exposed as a law.
     """
-    _require_integers(l=l)
+    _require_at_least(2, l=l)
     m_values = _integer_tuple("m values", m_values)
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
     if len(m_values) != l - 1:
         raise ValueError(f"expected {l - 1} values, got {len(m_values)}")
     if any(m < 0 for m in m_values):

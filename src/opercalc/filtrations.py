@@ -11,7 +11,9 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterator
 
-from .core import BundleNumerics, CurveParams, _integer_tuple, _require_integers, _Value
+from .core import (
+    BundleNumerics, CurveParams, _integer_tuple, _require_at_least, _require_integers, _Value,
+)
 
 # The exhaustive score search walks every profile of the weight, each of up
 # to w parts, so profiles times w is bounded: MAX_PARTS // w is the most
@@ -29,12 +31,10 @@ class FiltrationProfile(_Value):
     __slots__ = ("parts", "cap")
 
     def __init__(self, parts: tuple[int, ...], cap: int) -> None:
-        _require_integers(cap=cap)
+        _require_at_least(1, cap=cap)
         parts = _integer_tuple("parts", parts)
         if not parts:
             raise ValueError("profile needs at least one part")
-        if cap < 1:
-            raise ValueError(f"cap must be >= 1, got {cap}")
         if parts[0] > cap:
             raise ValueError(f"leading part {parts[0]} exceeds cap {cap}")
         if parts[-1] < 1:
@@ -67,9 +67,7 @@ def profile_score(profile: FiltrationProfile) -> int:
 
 def max_score_closed_form(w: int) -> int:
     """Closed-form maximum w(w-1)/2 of the score over weight-w profiles."""
-    _require_integers(weight=w)
-    if w < 1:
-        raise ValueError(f"weight must be >= 1, got {w}")
+    _require_at_least(1, weight=w)
     return w * (w - 1) // 2
 
 
@@ -123,11 +121,7 @@ def max_score_brute_force(
     maximizer, sorted.  Independent oracle for the closed form.  Refuses,
     before walking any, more than :data:`MAX_PARTS` profiles times w.
     """
-    _require_integers(weight=w, cap=q)
-    if w < 1:
-        raise ValueError(f"weight must be >= 1, got {w}")
-    if q < 1:
-        raise ValueError(f"cap must be >= 1, got {q}")
+    _require_at_least(1, weight=w, cap=q)
     if _profile_count(w, q) * w > MAX_PARTS:
         raise ValueError(f"weight {w} cap {q}: more than {MAX_PARTS // w} profiles, so "
                          f"profiles times weight is more than MAX_PARTS = {MAX_PARTS}; "
@@ -175,9 +169,7 @@ def worst_case_subbundle_slope_bound(
     """mu(Q)/p + (g-1)(w-1)/p: the slope bound for rank-w subbundles of the
     pushforward, obtained from the gap formula at the score maximum."""
     p, g = curve.require_positive_char(), curve.g
-    _require_integers(rank=w)
-    if w < 1:
-        raise ValueError(f"rank must be >= 1, got {w}")
+    _require_at_least(1, rank=w)
     return Fraction(Q.degree + Q.rank * (g - 1) * (w - 1), Q.rank * p)
 
 
@@ -194,7 +186,8 @@ def oper_subbundle_slope_bound(
     """mu(Q) + (2g-2)/w * score: slope bound for a subbundle of a length-l
     flagged bundle inducing this profile, and whether it stays within the
     semistability target mu(Q) + (l-1)(g-1).  It always does."""
-    _require_integers(flag_length=l, genus=g)
+    _require_at_least(1, flag_length=l)
+    _require_at_least(2, genus=g)
     if profile.m > l - 1:
         raise ValueError(
             f"profile has {profile.m + 1} parts, flag has length {l}"

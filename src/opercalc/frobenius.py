@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import BundleNumerics, CurveParams, _require_integers, _Value
+from .core import BundleNumerics, CurveParams, _require_at_least, _require_integers, _Value
 
 
 def pushforward_numerics(Q: BundleNumerics, curve: CurveParams) -> BundleNumerics:
@@ -30,9 +30,8 @@ def hirschowitz_bound(n: int, d: int, m: int, g: int) -> tuple[int, Fraction]:
     bound = d/n - ((n-m)/n)(g-1) - epsilon/(mn), which is
     floor((md - m(n-m)(g-1))/n)/m.
     """
-    _require_integers(rank=n, degree=d, subbundle_rank=m, genus=g)
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_integers(rank=n, degree=d, subbundle_rank=m)
+    _require_at_least(2, genus=g)
     if not 1 <= m <= n - 1:
         raise ValueError(f"subbundle rank {m} out of range [1, {n - 1}]")
     k, eps = divmod(m * d - m * (n - m) * (g - 1), n)
@@ -116,11 +115,7 @@ class ExpectedDimensions(_Value):
 
 
 def expected_dimensions(r: int, g: int) -> ExpectedDimensions:
-    _require_integers(rank=r, genus=g)
-    if r < 2:
-        raise ValueError(f"rank must be >= 2, got {r}")
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_at_least(2, rank=r, genus=g)
     deg_q = -(r - 1) * (g - 1)
     # q = 1 line-bundle problem: r[(r-1)(g-1) + deg_q] = 0 identically.
     quot_expected = r * ((r - 1) * (g - 1) + deg_q)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import BundleNumerics, CurveParams, HNPolygon, _require_integers, _Value
+from .core import BundleNumerics, CurveParams, HNPolygon, _require_at_least, _Value
 
 
 class OperShape(_Value):
@@ -15,9 +15,7 @@ class OperShape(_Value):
     __slots__ = ("quotient", "length", "curve")
 
     def __init__(self, quotient: BundleNumerics, length: int, curve: CurveParams) -> None:
-        _require_integers(length=length)
-        if length < 1:
-            raise ValueError(f"length must be >= 1, got {length}")
+        _require_at_least(1, length=length)
         object.__setattr__(self, "quotient", quotient)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "curve", curve)
@@ -34,19 +32,14 @@ class OperShape(_Value):
     @classmethod
     def degree_zero_type_one(cls, r: int, curve: CurveParams) -> "OperShape":
         """The canonical degree-0 type-1 shape: Q = (1, -(r-1)(g-1)), l = r."""
-        if r < 2:
-            raise ValueError(f"rank must be >= 2, got {r}")
+        _require_at_least(2, rank=r)
         q = BundleNumerics(1, -(r - 1) * (curve.g - 1))
         return cls(q, r, curve)
 
 
 def oper_polygon(r: int, g: int) -> HNPolygon:
     """Polygon with breakpoints (i, i(r-i)(g-1)) for 0 <= i <= r."""
-    _require_integers(rank=r, genus=g)
-    if r < 2:
-        raise ValueError(f"rank must be >= 2, got {r}")
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_at_least(2, rank=r, genus=g)
     return HNPolygon(tuple((i, i * (r - i) * (g - 1)) for i in range(r + 1)))
 
 
@@ -68,11 +61,7 @@ def dormant_sum_identity(r: int, g: int) -> bool:
 
     An identity, exposed as a checkable law.
     """
-    _require_integers(rank=r, genus=g)
-    if r < 2:
-        raise ValueError(f"rank must be >= 2, got {r}")
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_at_least(2, rank=r, genus=g)
     deg_q = -(r - 1) * (g - 1)
     total = sum(deg_q + i * (2 * g - 2) for i in range(r))
     return total == 0
@@ -80,22 +69,14 @@ def dormant_sum_identity(r: int, g: int) -> bool:
 
 def threshold_C(r: int, g: int) -> int:
     """The characteristic threshold r(r-1)(r-2)(g-1)."""
-    _require_integers(rank=r, genus=g)
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_at_least(2, rank=r, genus=g)
     return r * (r - 1) * (r - 2) * (g - 1)
 
 
 def oper_space_dimensions(r: int, g: int) -> tuple[int, int]:
     """Dimensions of the space of pluricanonical sections and of the oper
     space; both equal (g-1)(r^2 - 1), so the pair is always equal."""
-    _require_integers(rank=r, genus=g)
-    if r < 2:
-        raise ValueError(f"rank must be >= 2, got {r}")
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_at_least(2, rank=r, genus=g)
     dim = (g - 1) * (r * r - 1)
     return dim, dim
 

@@ -338,6 +338,17 @@ class TestSweepConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err and str(config) in err
 
+    @pytest.mark.parametrize("option, sweep, message", [
+        ("--rank", {"genus": [2]}, "rank must be >= 2, got 0"),
+        ("--genus", {"rank": [2]}, "genus must be >= 2, got 0"),
+    ])
+    def test_a_zero_option_fills_what_the_config_omits(self, capture, tmp_path, option,
+                                                        sweep, message):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(sweep))
+        code, out, err = capture("dims", option, "0", "--config", str(config))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 # Each command's help line and its options beside --format: (flag, required, help).
 COMMAND_HELP = {

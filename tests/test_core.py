@@ -32,10 +32,12 @@ from opercalc import (
     shatz_leq,
     strata_poset,
     threshold_C,
+    verify_oper_maximality,
     verify_target_inequalities,
     worst_case_subbundle_slope_bound,
 )
 from opercalc.core import _is_prime
+from opercalc.enumeration import iter_admissible
 from opercalc.filtrations import sun_gap_term
 from opercalc.laws import random_polygon
 
@@ -215,6 +217,60 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
 def test_rejects_a_non_integer_input(call):
     with pytest.raises(ValueError):
         call()
+
+
+def raised_message(call) -> str:
+    with pytest.raises(ValueError) as raised:
+        call()
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("r, g, message", [
+    (1, 2, "rank must be >= 2, got 1"),
+    (2, 1, "genus must be >= 2, got 1"),
+    (2.5, 2, "rank must be an integer, got 2.5"),
+    (2, "3", "genus must be an integer, got '3'"),
+    # a non-integer is named before a value below its minimum
+    (1, 1.5, "genus must be an integer, got 1.5"),
+])
+@pytest.mark.parametrize("function", [
+    oper_polygon, threshold_C, oper_space_dimensions, dormant_sum_identity,
+    expected_dimensions, enumerate_admissible, enumerate_admissible_slow,
+    verify_oper_maximality, iter_admissible,
+], ids=lambda function: function.__name__)
+def test_every_rank_genus_function_has_the_same_rule(function, r, g, message):
+    assert raised_message(lambda: function(r, g)) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CurveParams(1, 3), "genus must be >= 2, got 1"),
+    (lambda: CurveParams(2, -7), "characteristic must be >= 0, got -7"),
+    (lambda: BundleNumerics(0, 1), "rank must be >= 1, got 0"),
+    (lambda: BundleNumerics(1, "0"), "degree must be an integer, got '0'"),
+    (lambda: OperShape(BundleNumerics(1, 0), 0, CurveParams(2)), "length must be >= 1, got 0"),
+    (lambda: OperShape.degree_zero_type_one(1, CurveParams(2)), "rank must be >= 2, got 1"),
+    (lambda: OperShape.degree_zero_type_one(2.5, CurveParams(2)),
+     "rank must be an integer, got 2.5"),
+    (lambda: FiltrationProfile((1,), 0), "cap must be >= 1, got 0"),
+    (lambda: max_score_closed_form(0), "weight must be >= 1, got 0"),
+    (lambda: max_score_brute_force(0, 1), "weight must be >= 1, got 0"),
+    (lambda: max_score_brute_force(1, 0), "cap must be >= 1, got 0"),
+    (lambda: max_score_brute_force(0, 1.5), "cap must be an integer, got 1.5"),
+    (lambda: worst_case_subbundle_slope_bound(BundleNumerics(1, -1), 0, CurveParams(2, 5)),
+     "rank must be >= 1, got 0"),
+    (lambda: oper_subbundle_slope_bound(FiltrationProfile((1,), 1), BundleNumerics(1, 0), 0, 2),
+     "flag_length must be >= 1, got 0"),
+    (lambda: hirschowitz_bound(3, 0, 1, 1), "genus must be >= 2, got 1"),
+    (lambda: hirschowitz_bound(3, 0.5, 1, 1), "degree must be an integer, got 0.5"),
+    (lambda: verify_target_inequalities(oper_polygon(3, 2), 0), "genus must be >= 2, got 0"),
+    (lambda: key_inequality_check(1, []), "l must be >= 2, got 1"),
+], ids=["curve-genus", "curve-char", "bundle-rank", "bundle-degree", "oper-shape-length",
+        "type-one-rank", "type-one-rank-float", "profile-cap", "closed-form-weight",
+        "brute-force-weight", "brute-force-cap", "brute-force-cap-float", "worst-case-rank",
+        "oper-bound-flag-length", "hirschowitz-genus", "hirschowitz-degree", "target-inequalities-genus",
+        "key-inequality-length"])
+def test_names_the_value_below_its_minimum(call, message):
+    assert raised_message(call) == message
 
 
 @pytest.mark.parametrize("a, b", [

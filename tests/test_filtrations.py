@@ -247,6 +247,12 @@ class TestOperSubbundleSlopeBound:
                 FiltrationProfile((1, 1, 1), 1), BundleNumerics(1, 0), 2, 2
             )
 
+    @pytest.mark.parametrize("g", [1, 0, -5])
+    def test_rejects_genus_below_two(self, g):
+        # below genus 2 the bound can exceed the target, which it never does on a curve
+        with pytest.raises(ValueError, match=f"^genus must be >= 2, got {g}$"):
+            oper_subbundle_slope_bound(FiltrationProfile((2, 1), 2), BundleNumerics(1, 0), 3, g)
+
     @given(profiles, st.integers(2, 4))
     def test_always_within_target_at_flag_length(self, profile, g):
         l = profile.m + 1

@@ -158,6 +158,17 @@ def test_the_source_uses_no_floating_point():
     assert faults == []
 
 
+def test_one_function_words_every_lower_bound():
+    """Every argument's lower bound is checked by ``core._require_at_least``,
+    the one place that words the message."""
+    sources = {path.name: path.read_text() for path in (SRC / "opercalc").glob("*.py")}
+    assert {name: text.count("must be >= ") for name, text in sources.items()
+            if "must be >= " in text} == {"core.py": 1}
+    core = sources["core.py"]
+    helper = core.index("def _require_at_least(")
+    assert helper < core.index("must be >= ") < core.index("\ndef ", helper + 1)
+
+
 # Public names that no module of the package and no benchmark script reads.
 # Each states a claim of the paper: the maximal degree 0 of rank-r subbundles
 # of the pushforward, and the oper subbundle slope bound.  Their law rows
