@@ -19,9 +19,7 @@ _EXPORTS = {
             "CurveParams",
             "HNPolygon",
             "PosetDescription",
-            "format_rational",
             "polygon_from_quotient_data",
-            "rational_to_json",
             "shatz_leq",
             "strata_poset",
         ),

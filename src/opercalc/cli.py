@@ -3,8 +3,10 @@
 Every subcommand supports --format json|csv|table (default table), except
 that ``dims --config`` always writes CSV.
 Rationals print as "a/b" in tables and CSV and as {"num", "den"} decimal
-strings in JSON; never as decimals.  Exit codes: 0 success, 1 verification
-failure (counterexample found), 2 usage error.
+strings in JSON; never as decimals.  Polygons print as their breakpoints:
+``0,0;1,2;2,2;3,0`` in a cell, ``{"breakpoints": [[0, 0], ...]}`` in JSON.
+Only ``emit``'s two renderers know these rules.  Exit codes: 0 success,
+1 verification failure (counterexample found), 2 usage error.
 
 Only what ``enumerate`` and ``strata`` run is imported at module level; the
 other subcommands import their modules (frobenius, filtrations, laws) in
@@ -34,8 +36,6 @@ from .core import (
     HNPolygon,
     _require_at_least,
     dominated_by,
-    format_rational,
-    rational_to_json,
     strata_poset,
 )
 from .enumeration import enumerate_admissible, iter_admissible, verify_oper_maximality
@@ -51,21 +51,17 @@ def _style_header(text: str) -> str:
     return f"\033[1m{text}\033[0m"
 
 
-def _is_fraction(value: Any) -> bool:
-    """Whether ``value`` is a ``Fraction``; none can exist before ``fractions``
-    is imported, so this does not import it."""
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(value, fractions.Fraction)
-
-
 def _cell(value: Any) -> str:
-    """One csv/table cell: ``[1, 1]`` prints as ``1,1`` and ``[[1, 1], [2]]``
-    as ``1,1 2``."""
-    if isinstance(value, list):
-        sep = " " if value and isinstance(value[0], list) else ","
+    """One csv/table cell: a list or tuple ``[1, 1]`` prints as ``1,1`` and
+    ``[[1, 1], [2]]`` as ``1,1 2``, a polygon as its breakpoints
+    ``0,0;1,2;2,2;3,0``, a bool as ``true`` or ``false`` and ``None`` as ``-``.
+    Anything else prints through ``str``, which writes a ``Fraction`` as
+    ``a/b``, or ``a`` when it is whole."""
+    if isinstance(value, (list, tuple)):
+        sep = " " if value and isinstance(value[0], (list, tuple)) else ","
         return sep.join(_cell(v) for v in value)
-    if _is_fraction(value):
-        return format_rational(value)
+    if isinstance(value, HNPolygon):
+        return ";".join(f"{x},{y}" for x, y in value.breakpoints)
     if isinstance(value, bool):
         return str(value).lower()
     if value is None:
@@ -74,26 +70,32 @@ def _cell(value: Any) -> str:
 
 
 def _json_default(value: Any) -> Any:
-    """What the JSON encoder writes for a value it has no rule for."""
-    if _is_fraction(value):
-        return rational_to_json(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    """What the JSON encoder writes for a value it has no rule for: a polygon
+    as its ``to_json()``, a rational as ``{"num", "den"}`` decimal strings."""
+    if isinstance(value, HNPolygon):
+        return value.to_json()
+    try:
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    except AttributeError:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable") from None
 
 
 def emit(
     fmt: str,
     record: Any,
     header: list[str] | None = None,
-    rows: Iterable[list[Any]] | None = None,
+    rows: Iterable[Sequence[Any]] | None = None,
 ) -> None:
     """Write one result in the requested format.
 
     ``record`` is the json output.  Without ``rows``, csv and table print it
     as one row of its values, under ``header`` (default: all its keys, in
     order).  Listings pass ``header`` and ``rows``; ``rows`` is not read for
-    json, so a generator passed there costs nothing on that path.  Every
-    ``record`` is a fresh tree of dicts, lists and tuples built by its command,
-    so it holds no cycle and json skips the scan for one.
+    json, so a generator passed there costs nothing on that path.  Values
+    print through ``_json_default`` and ``_cell``, so a command passes its
+    polygons and rationals as they are.  Every ``record`` is a tree of dicts,
+    lists, tuples, polygons and rationals, none of which holds its container,
+    so it has no cycle and json skips the scan for one.
     """
     if fmt == "json":
         print(json.dumps(record, sort_keys=True, default=_json_default, check_circular=False))
@@ -120,14 +122,9 @@ def emit(
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _breakpoints_cell(poly: HNPolygon) -> str:
-    """A polygon's breakpoints as one csv/table cell, e.g. ``0,0;1,1;2,0``."""
-    return ";".join(f"{x},{y}" for x, y in poly.breakpoints)
-
-
 def cmd_oper_polygon(args: SimpleNamespace) -> int:
     poly = oper_polygon(args.rank, args.genus)
-    emit(args.format, poly.to_json(), ["rank", "degree"], poly.breakpoints)
+    emit(args.format, poly, ["rank", "degree"], poly.breakpoints)
     return 0
 
 
@@ -225,30 +222,25 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
         top = oper_polygon(args.rank, args.genus)
         under_top = dominated_by(top)
         for p in polys:
-            yield [_breakpoints_cell(p), p == top, under_top(p)]
+            yield [p, p == top, under_top(p)]
 
-    emit(
-        args.format,
-        [p.to_json() for p in polys],
-        ["breakpoints", "is_oper", "dominated_by_oper"],
-        rows(),
-    )
+    emit(args.format, polys, ["breakpoints", "is_oper", "dominated_by_oper"], rows())
     return 0
 
 
 def cmd_strata(args: SimpleNamespace) -> int:
     poset = strata_poset(iter_admissible(args.rank, args.genus))
-    elements = [_breakpoints_cell(p) for p in poset.elements]
+    elements = poset.elements
     emit(
         args.format,
         {
-            "elements": [p.to_json() for p in poset.elements],
-            "covers": [list(c) for c in poset.covers],
-            "maximal": list(poset.maximal_indices()),
-            "minimal": list(poset.minimal_indices()),
+            "elements": elements,
+            "covers": poset.covers,
+            "maximal": poset.maximal_indices(),
+            "minimal": poset.minimal_indices(),
         },
         ["lower", "upper"],
-        [[elements[i], elements[j]] for i, j in poset.covers],
+        ((elements[i], elements[j]) for i, j in poset.covers),
     )
     return 0
 

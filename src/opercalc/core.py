@@ -90,24 +90,13 @@ def _require_at_least(minimum: int, **values: object) -> None:
 
 
 def _integer_tuple(name: str, values: Iterable[object]) -> tuple[int, ...]:
-    """``values`` as a tuple, or ``ValueError`` unless each is an integer to
-    :func:`operator.index`."""
+    """``values`` as a tuple, or ``ValueError``, naming them by their values,
+    unless each is an integer to :func:`operator.index`."""
     try:
-        return tuple(index(x) for x in values)
+        values = tuple(values)  # an iterator is named by what it held
+        return tuple(map(index, values))
     except TypeError:
         raise ValueError(f"{name} must be integers, got {values}") from None
-
-
-def rational_to_json(x: Fraction) -> dict:
-    """Serialize an exact rational as decimal strings (arbitrary precision)."""
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def format_rational(x: Fraction) -> str:
-    """Human-readable exact form: ``a/b``, or just ``a`` when integral."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 class _Value:
@@ -239,32 +228,23 @@ class HNPolygon(_Value):
     __slots__ = ("breakpoints",)
 
     def __init__(self, breakpoints: Iterable[tuple[int, int]]) -> None:
-        # One pass over the points, raising at the first fault it meets.
-        pts = []
-        r0 = d0 = w0 = h0 = None  # the previous point, and the previous segment's run and rise
         try:
-            for r, d in breakpoints:
-                r, d = index(r), index(d)
-                if r0 is None:
-                    if r or d:
-                        raise ValueError(f"first breakpoint must be (0, 0), got {(r, d)}")
-                else:
-                    w, h = r - r0, d - d0
-                    if w <= 0:
-                        raise ValueError("breakpoint ranks must strictly increase")
-                    if w0 is not None and h * w0 >= h0 * w:  # slope h/w >= h0/w0
-                        raise ValueError(
-                            "segment slopes must strictly decrease (strict convexity)"
-                        )
-                    w0, h0 = w, h
-                r0, d0 = r, d
-                pts.append((r, d))
-        except TypeError:
-            raise ValueError(
-                f"breakpoints must be integer pairs, got {breakpoints}"
-            ) from None
+            breakpoints = tuple(breakpoints)  # an iterator is named by what it held
+            pts = [(index(r), index(d)) for r, d in breakpoints]
+        except (TypeError, ValueError):  # ValueError: a point that is not a pair
+            raise ValueError(f"breakpoints must be integer pairs, got {breakpoints}") from None
+        if pts and pts[0] != (0, 0):
+            raise ValueError(f"first breakpoint must be (0, 0), got {pts[0]}")
         if len(pts) < 2:
             raise ValueError("polygon needs at least two breakpoints")
+        w0 = h0 = None  # the previous segment's run and rise
+        for (r0, d0), (r1, d1) in zip(pts, pts[1:]):
+            w, h = r1 - r0, d1 - d0
+            if w <= 0:
+                raise ValueError("breakpoint ranks must strictly increase")
+            if w0 is not None and h * w0 >= h0 * w:  # slope h/w >= h0/w0
+                raise ValueError("segment slopes must strictly decrease (strict convexity)")
+            w0, h0 = w, h
         object.__setattr__(self, "breakpoints", tuple(pts))
 
     @classmethod

@@ -4,12 +4,13 @@ import itertools
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from opercalc import HNPolygon, enumerate_admissible, enumerate_admissible_slow, enumeration
-from opercalc.cli import _cell, run
+from opercalc.cli import _cell, _json_default, run
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
 
@@ -115,9 +116,23 @@ def test_record_output_is_pinned(capture, line, fmt):
 
 @pytest.mark.parametrize("value, cell", [
     ([1, 1], "1,1"), ([4], "4"), ([[1, 1], [2]], "1,1 2"), ([[1, 1, 1]], "1,1,1"),
+    ((1, 1), "1,1"), (((1, 1), (2,)), "1,1 2"), ((), ""),
 ])
 def test_list_cell(value, cell):
     assert _cell(value) == cell
+
+
+@pytest.mark.parametrize("value, cell", [
+    (HNPolygon(((0, 0), (1, 2), (2, 2), (3, 0))), "0,0;1,2;2,2;3,0"),
+    (Fraction(19, 10), "19/10"), (Fraction(-4, 2), "-2"), (True, "true"), (None, "-"),
+])
+def test_cell(value, cell):
+    assert _cell(value) == cell
+
+
+def test_json_default_refuses_other_values():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        _json_default(object())
 
 
 class TestCalculatorCommands:
@@ -301,6 +316,10 @@ class TestEnumerateCommand:
         code, out, _ = capture(command, "--rank", "9", "--genus", "2", "--max-rank", "9")
         assert code == 2
         assert out == ""
+
+
+def test_dims_needs_rank_and_genus_or_a_config(capture):
+    assert capture("dims") == (2, "", "error: dims requires --rank and --genus (or --config)\n")
 
 
 class TestSweepConfig:

@@ -363,6 +363,20 @@ class TestHNPolygon:
         with pytest.raises(ValueError, match="integer pairs"):
             HNPolygon(((0, 0), (1.9, 1), (3, 0)))
 
+    @pytest.mark.parametrize("breakpoints, shown", [
+        ((p for p in [(0, 0), (1, 0.5)]), "((0, 0), (1, 0.5))"),
+        ([(0, 0, 0), (1, 0)], "((0, 0, 0), (1, 0))"),
+        ([(0, 0), (1,)], "((0, 0), (1,))"),
+    ])
+    def test_names_bad_breakpoints_by_their_values(self, breakpoints, shown):
+        with pytest.raises(ValueError) as info:
+            HNPolygon(breakpoints)
+        assert str(info.value) == f"breakpoints must be integer pairs, got {shown}"
+
+    def test_rejects_a_single_breakpoint(self):
+        with pytest.raises(ValueError, match="^polygon needs at least two breakpoints$"):
+            HNPolygon(((0, 0),))
+
     def test_value_at_interpolates_exactly(self):
         poly = HNPolygon(((0, 0), (1, 1), (3, 0)))
         assert poly.value_at(2) == Fraction(1, 2)
@@ -484,6 +498,9 @@ class TestShatzLeq:
 
 
 class TestStrataPoset:
+    def test_empty(self):
+        assert strata_poset(()) == PosetDescription((), ())
+
     def test_singleton(self):
         poset = strata_poset([semistable(3)])
         assert len(poset.elements) == 1

@@ -1,11 +1,12 @@
 import itertools
+import json
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from opercalc import enumeration
+from opercalc import cli, enumeration
 from opercalc.enumeration import iter_admissible
 from opercalc import (
     HNPolygon,
@@ -233,6 +234,21 @@ class TestVerifyOperMaximality:
         assert (report.passed, report.count) == (True, 5767)
         assert peak < 1_000_000  # a tuple of the 5767 polygons peaks at about 3 MB
 
+    @pytest.mark.parametrize("r, g", [(3, 2), (4, 2), (5, 3), (6, 2), (7, 3)])
+    def test_fails_with_the_true_oper_polygon_under_a_lowered_one(self, r, g, monkeypatch,
+                                                                   capsys):
+        # Lowered by 1 at every interior breakpoint, the "oper polygon" leaves
+        # exactly one admissible polygon above it: the true one.
+        monkeypatch.setattr(enumeration, "oper_polygon", lambda r, g: HNPolygon(
+            [(x, y - (0 < x < r)) for x, y in oper_polygon(r, g).breakpoints]))
+        report = verify_oper_maximality(r, g)
+        assert report.passed is False
+        assert report.counterexamples == (oper_polygon(r, g),)
+        argv = ["enumerate", "--rank", str(r), "--genus", str(g), "--verify", "--format", "json"]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert (json.loads(out)["passed"], err) == (False, "")
+
     @pytest.mark.parametrize(
         "r, g", [(r, 2) for r in range(2, 6)] + [(r, 3) for r in range(2, 5)]
     )
@@ -287,6 +303,11 @@ class TestKeyInequality:
     def test_requires_matching_length(self):
         with pytest.raises(ValueError):
             key_inequality_check(4, (1, 2))
+
+    def test_names_an_iterator_by_its_values(self):
+        with pytest.raises(ValueError) as info:
+            key_inequality_check(3, iter([1, "a"]))
+        assert str(info.value) == "m values must be integers, got (1, 'a')"
 
     def test_exhaustive_small_ranges(self):
         for l in range(2, 7):

@@ -66,6 +66,11 @@ class TestFiltrationProfile:
         with pytest.raises(ValueError, match="parts must be integers"):
             FiltrationProfile(parts, 3)
 
+    def test_names_a_generator_by_its_values(self):
+        with pytest.raises(ValueError) as info:
+            FiltrationProfile((x for x in [1.5]), 2)
+        assert str(info.value) == "parts must be integers, got (1.5,)"
+
 
 class TestProfileScore:
     def test_examples(self):

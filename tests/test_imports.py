@@ -24,12 +24,12 @@ PUBLIC_NAMES = [
     "OperShape", "PosetDescription", "QuotCertificate", "QuotProblem", "core",
     "dormant_sum_identity", "enumerate_admissible",
     "enumerate_admissible_slow", "enumeration", "expected_dimensions", "filtrations",
-    "format_rational", "frobenius", "frobenius_oper_consistency", "hirschowitz_bound",
+    "frobenius", "frobenius_oper_consistency", "hirschowitz_bound",
     "key_inequality_check", "max_score_brute_force", "max_score_closed_form",
     "maxdegree_certificate", "oper_polygon", "oper_quotient_degrees",
     "oper_space_dimensions", "oper_subbundle_slope_bound", "opers",
     "polygon_from_quotient_data", "profile_score", "pushforward_numerics",
-    "quot_dim_lower_bound", "quot_nonempty", "rational_to_json", "rearrangement_check",
+    "quot_dim_lower_bound", "quot_nonempty", "rearrangement_check",
     "shatz_leq", "strata_poset", "sun_bound", "threshold_C", "verify_oper_maximality",
     "verify_target_inequalities", "worst_case_subbundle_slope_bound",
 ]
