@@ -231,6 +231,13 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
 def cmd_strata(args: SimpleNamespace) -> int:
     poset = strata_poset(iter_admissible(args.rank, args.genus))
     elements = poset.elements
+
+    def rows() -> Iterator[tuple[str, str]]:
+        # Runs only for csv or table, and renders each element once, not once per cover.
+        cells = [_cell(p) for p in elements]
+        for i, j in poset.covers:
+            yield cells[i], cells[j]
+
     emit(
         args.format,
         {
@@ -240,7 +247,7 @@ def cmd_strata(args: SimpleNamespace) -> int:
             "minimal": poset.minimal_indices(),
         },
         ["lower", "upper"],
-        ((elements[i], elements[j]) for i, j in poset.covers),
+        rows(),
     )
     return 0
 

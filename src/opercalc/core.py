@@ -122,24 +122,14 @@ class _Value:
 
     __slots__ = ()
     _fields: tuple[str, ...]  # every slot of the class, base classes first
-    _field_set: frozenset[str]
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(name for klass in reversed(cls.__mro__)
                             for name in klass.__dict__.get("__slots__", ()))
-        cls._field_set = frozenset(cls._fields)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
-        if not kwargs and len(args) == len(fields):
-            for field, value in zip(fields, args):
-                object.__setattr__(self, field, value)
-            return
-        if not args and kwargs.keys() == self._field_set:
-            for field in fields:
-                object.__setattr__(self, field, kwargs[field])
-            return
         rest = fields[len(args):]
         if len(args) > len(fields) or kwargs.keys() != set(rest):
             raise TypeError(f"{self.__class__.__qualname__}() takes exactly the fields "
@@ -318,13 +308,8 @@ def polygon_from_quotient_data(
         raise ValueError("empty quotient data")
     if len(ranks) != len(degrees):
         raise ValueError("ranks and degrees must have equal length")
-    pts = [(0, 0)]
-    r_acc = d_acc = 0
-    for n, d in zip(reversed(ranks), reversed(degrees)):
-        r_acc += n
-        d_acc += d
-        pts.append((r_acc, d_acc))
-    return HNPolygon(tuple(pts))
+    return HNPolygon(tuple(zip(accumulate(reversed(ranks), initial=0),
+                               accumulate(reversed(degrees), initial=0))))
 
 
 def shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:

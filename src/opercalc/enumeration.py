@@ -21,8 +21,8 @@ from .core import (
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
-# lists in about 2 s and peaks at about 170 MB as JSON, which CI holds under
-# 300 MB.
+# lists in about 2 s and peaks at about 120 MB as JSON (122 MB on Python 3.11.7,
+# 118 MB on 3.10.13), which CI holds under 160 MB.
 MAX_POLYGONS = 250_000
 
 
@@ -218,24 +218,20 @@ def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
 
 
 def verify_target_inequalities(polygon: HNPolygon, g: int) -> bool:
-    """Check deg(V_i) <= (g-1)(n_1+...+n_i)(n_{i+1}+...+n_l) for every flag
-    step, straight from the polygon's quotient data.
+    """Check deg(V_i) <= (g-1) rk(V_i) (r - rk(V_i)) for every flag step.
 
-    Equivalent to dominance by the oper polygon of the same rank.
+    The rank and degree of V_i, step i of the HN filtration, are breakpoint
+    i of the polygon, so the check reads each interior breakpoint (x, y) as
+    y <= (g-1) x (r-x): the breakpoint lies on or under the oper polygon
+    (i, i(r-i)(g-1)).  Equivalent to dominance by the oper polygon of the same
+    rank, since the polygon is linear between its breakpoints and the oper
+    polygon is concave.
     """
     _require_at_least(2, genus=g)
-    if polygon.breakpoints[-1][1] != 0:
+    r, degree = polygon.endpoint
+    if degree != 0:
         raise ValueError("target inequalities apply to degree-0 polygons")
-    qd = polygon.quotient_data()  # slopes increasing: bottom-up order
-    l = len(qd)
-    for i in range(1, l):
-        # deg(V_i) is the sum of the degrees of the quotients above step i
-        deg_vi = sum(d for _, d in qd[i:])
-        low = sum(n for n, _ in qd[:i])
-        high = sum(n for n, _ in qd[i:])
-        if deg_vi > (g - 1) * low * high:
-            return False
-    return True
+    return all(y <= (g - 1) * x * (r - x) for x, y in polygon.breakpoints[1:-1])
 
 
 def key_inequality_check(l: int, m_values: Sequence[int]) -> bool:

@@ -164,19 +164,10 @@ def random_polygon(rng: random.Random, rank: int) -> HNPolygon:
         if shift % rank != 0:
             continue
         drops = [d - shift // rank for d in drops]
-        pts = [(0, 0)]
-        y = 0
-        for i, d in enumerate(drops, start=1):
-            y += d
-            pts.append((i, y))
-        # drop collinear interior points to reach the canonical form
-        keep = [pts[0]]
-        for j in range(1, rank):
-            (x0, y0), (x1, y1), (x2, y2) = keep[-1], pts[j], pts[j + 1]
-            if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
-                keep.append(pts[j])
-        keep.append(pts[rank])
-        return HNPolygon(tuple(keep))
+        # the drops weakly decrease, so interior point j is collinear with its
+        # neighbours exactly when the drops on either side of it are equal
+        pts = enumerate(itertools.accumulate(drops, initial=0))
+        return HNPolygon([(j, y) for j, y in pts if j in (0, rank) or drops[j - 1] != drops[j]])
 
 
 ALL_LAWS: tuple[Law, ...] = (

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,6 +134,28 @@ def test_cell(value, cell):
 def test_json_default_refuses_other_values():
     with pytest.raises(TypeError, match="object is not JSON serializable"):
         _json_default(object())
+
+
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("stdout, no_color, header", [
+    (Terminal, None, "\033[1mrank  degree\033[0m"),
+    (Terminal, "1", "rank  degree"),
+    (io.StringIO, None, "rank  degree"),
+])
+def test_table_header_is_bold_only_on_a_terminal_without_no_color(monkeypatch, stdout,
+                                                                    no_color, header):
+    if no_color is None:
+        monkeypatch.delenv("NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    out = stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["oper-polygon", "--rank", "3", "--genus", "2"]) == 0
+    assert out.getvalue() == f"{header}\n0     0\n1     2\n2     2\n3     0\n"
 
 
 class TestCalculatorCommands:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from opercalc import cli, enumeration
 from opercalc.enumeration import iter_admissible
+from opercalc.laws import random_polygon
 from opercalc import (
     HNPolygon,
     enumerate_admissible,
@@ -52,6 +54,18 @@ def unpruned_slow_oracle(r, g):
             ends = (0,) + cuts + (r,)
             extend((), tuple(b - a for a, b in zip(ends, ends[1:])), (l - 1) * gap)
     return tuple(sorted(found, key=lambda p: p.breakpoints))
+
+
+def target_inequalities_from_quotient_data(polygon, g):
+    """deg(V_i) <= (g-1)(n_1+...+n_i)(n_{i+1}+...+n_l) at every flag step,
+    with each side summed from the quotient data (n_j, d_j): the paper's form
+    of the target inequalities, an oracle for ``verify_target_inequalities``,
+    which reads V_i from the breakpoints."""
+    qd = polygon.quotient_data()  # slopes increasing: bottom-up order
+    return all(
+        sum(d for _, d in qd[i:]) <= (g - 1) * sum(n for n, _ in qd[:i]) * sum(n for n, _ in qd[i:])
+        for i in range(1, len(qd))
+    )
 
 
 def slow_oracle_walk(r, g):
@@ -291,6 +305,20 @@ class TestVerifyTargetInequalities:
             top = oper_polygon(r, g)
             for poly in enumerate_admissible(r, g):
                 assert verify_target_inequalities(poly, g) == shatz_leq(poly, top)
+
+    def test_agrees_with_the_quotient_data_form(self):
+        # The genus-4 polygons hold those of genus 2 and 3, whose slope gap is
+        # narrower.  Each is checked at genera 2 .. 5, so that some fail.
+        cases = [(poly, genus) for r in range(2, 8) for poly in enumerate_admissible(r, 4)
+                 for genus in range(2, 6)]
+        rng = random.Random(20231019)
+        cases += [(random_polygon(rng, rng.randint(2, 9)), rng.randint(2, 5)) for _ in range(2100)]
+        outcomes = set()
+        for poly, genus in cases:
+            expected = target_inequalities_from_quotient_data(poly, genus)
+            assert verify_target_inequalities(poly, genus) == expected, (poly, genus)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestKeyInequality:

@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from opercalc.laws import ALL_LAWS, Law, LawResult
+from opercalc.laws import ALL_LAWS, Law, LawResult, _random_triples, random_polygon
 
 # Every law's name, in report order, and the number of cases its grid yields;
 # a grid that loses or gains a case fails here.
@@ -52,3 +55,18 @@ class TestAllLaws:
     def test_grid_size(self, name, size):
         (law,) = [law for law in ALL_LAWS if law.name == name]
         assert sum(1 for _ in law.cases()) == size
+
+
+def digest(polygons):
+    return hashlib.sha256(repr([p.breakpoints for p in polygons]).encode()).hexdigest()
+
+
+class TestRandomPolygons:
+    def test_shatz_poset_grid_is_pinned(self):
+        # the 200 rank-6 polygons _random_triples draws from, and its 200 triples
+        rng = random.Random(20230818)
+        assert digest(random_polygon(rng, 6) for _ in range(200)) == (
+            "b32d21a0b554991f17fb2bbf175c24fa031a85981e0df65e1fd60b3d8faf53d5")
+        triples = [p for triple in _random_triples() for p in triple]
+        assert digest(triples) == (
+            "1d5721728f9cf76f6e9b4afe5671b4f8d36289a057cbe8d7e6990769eb822832")
