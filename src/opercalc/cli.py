@@ -35,10 +35,9 @@ from .core import (
     CurveParams,
     HNPolygon,
     _require_at_least,
-    dominated_by,
     strata_poset,
 )
-from .enumeration import enumerate_admissible, iter_admissible, verify_oper_maximality
+from .enumeration import _against_oper, enumerate_admissible, iter_admissible, verify_oper_maximality
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
@@ -216,15 +215,9 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
         emit(args.format, record, list(record)[2:])  # csv and table omit rank, genus
         return 0 if report.passed else VERIFICATION_FAILURE
     polys = enumerate_admissible(args.rank, args.genus)
-
-    def rows() -> Iterator[list[Any]]:
-        # Runs only when csv or table output reads the rows, not for json.
-        top = oper_polygon(args.rank, args.genus)
-        under_top = dominated_by(top)
-        for p in polys:
-            yield [p, p == top, under_top(p)]
-
-    emit(args.format, polys, ["breakpoints", "is_oper", "dominated_by_oper"], rows())
+    # Read only when csv or table output reads the rows, not for json.
+    rows = _against_oper(polys, args.rank, args.genus)
+    emit(args.format, polys, ["breakpoints", "is_oper", "dominated_by_oper"], rows)
     return 0
 
 
@@ -252,9 +245,23 @@ def cmd_strata(args: SimpleNamespace) -> int:
     return 0
 
 
-def cmd_dims(args: SimpleNamespace) -> int:
+def _dims_record(r: int, g: int) -> dict[str, Any]:
+    """The single-row ``dims`` output at rank ``r`` and genus ``g``."""
     from .frobenius import expected_dimensions
 
+    dims = expected_dimensions(r, g)
+    base_dim, oper_dim = oper_space_dimensions(r, g)
+    return {
+        "threshold_C": threshold_C(r, g),
+        "hitchin_base_dim": base_dim,
+        "oper_space_dim": oper_dim,
+        "destabilized_locus_dim": dims.destabilized_locus_dim,
+        "quot_expected": dims.quot_expected,
+        "oper_quot_degree": dims.oper_quot_degree,
+    }
+
+
+def cmd_dims(args: SimpleNamespace) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
@@ -280,36 +287,20 @@ def cmd_dims(args: SimpleNamespace) -> int:
                     CurveParams(2, p).require_positive_char()
             except ValueError as exc:
                 raise ValueError(f"config {args.config} needs primes for 'char': {exc}") from None
-        header = ["rank", "genus", "char", "threshold_C", "oper_space_dim",
-                  "destabilized_locus_dim", "quot_expected", "oper_quot_degree",
-                  "char_exceeds_threshold"]
+        columns = ["threshold_C", "oper_space_dim", "destabilized_locus_dim", "quot_expected",
+                   "oper_quot_degree"]
         rows: list[list[Any]] = []
         for r in ranks:
             for g in genera:
-                for p in chars:
-                    dims = expected_dimensions(r, g)
-                    c = threshold_C(r, g)
-                    rows.append([
-                        r, g, p, c, oper_space_dimensions(r, g)[0],
-                        dims.destabilized_locus_dim, dims.quot_expected,
-                        dims.oper_quot_degree,
-                        (p > c) if p is not None else None,
-                    ])
-        emit("csv", None, header, rows)
+                record = _dims_record(r, g)
+                c = record["threshold_C"]
+                rows += [[r, g, p, *(record[k] for k in columns),
+                          (p > c) if p is not None else None] for p in chars]
+        emit("csv", None, ["rank", "genus", "char", *columns, "char_exceeds_threshold"], rows)
         return 0
     if args.rank is None or args.genus is None:
         raise ValueError("dims requires --rank and --genus (or --config)")
-    r, g = args.rank, args.genus
-    dims = expected_dimensions(r, g)
-    base_dim, oper_dim = oper_space_dimensions(r, g)
-    emit(args.format, {
-        "threshold_C": threshold_C(r, g),
-        "hitchin_base_dim": base_dim,
-        "oper_space_dim": oper_dim,
-        "destabilized_locus_dim": dims.destabilized_locus_dim,
-        "quot_expected": dims.quot_expected,
-        "oper_quot_degree": dims.oper_quot_degree,
-    })
+    emit(args.format, _dims_record(args.rank, args.genus))
     return 0
 
 

@@ -257,19 +257,6 @@ class HNPolygon(_Value):
     def endpoint(self) -> tuple[int, int]:
         return self.breakpoints[-1]
 
-    def quotient_data(self) -> tuple[tuple[int, int], ...]:
-        """Per-quotient (rank, degree) pairs read bottom-up.
-
-        Pair ``i`` (0-based) has slope equal to the ``i``-th smallest
-        segment slope, so the slopes of the returned pairs strictly
-        increase; this is the inverse of :func:`polygon_from_quotient_data`.
-        """
-        segs = [
-            (r1 - r0, d1 - d0)
-            for (r0, d0), (r1, d1) in zip(self.breakpoints, self.breakpoints[1:])
-        ]
-        return tuple(reversed(segs))
-
     def value_at(self, x: int | Fraction) -> Fraction:
         """Piecewise-linear interpolation at an ``int`` or ``Fraction`` ``x``, exact.
 
@@ -285,10 +272,10 @@ class HNPolygon(_Value):
         if a < 0 or a > self.total_rank * b:
             raise ValueError(f"abscissa {x} outside [0, {self.total_rank}]")
         for (r0, d0), (r1, d1) in zip(self.breakpoints, self.breakpoints[1:]):
-            if a <= r1 * b:
-                w = r1 - r0
-                return Fraction(d0 * w * b + (d1 - d0) * (a - r0 * b), w * b)
-        raise AssertionError("unreachable")
+            if a <= r1 * b:  # the range check puts x on some segment
+                break
+        w = r1 - r0
+        return Fraction(d0 * w * b + (d1 - d0) * (a - r0 * b), w * b)
 
     def to_json(self) -> dict:
         return {"breakpoints": self.breakpoints}  # json writes tuples as arrays
@@ -299,11 +286,14 @@ def polygon_from_quotient_data(
 ) -> HNPolygon:
     """Build the polygon whose quotients, read bottom-up, are (ranks, degrees).
 
-    The ranks must be positive and the slopes ``degrees[i] / ranks[i]`` must
+    Ranks and degrees must be integers, or ``ValueError`` names them.  The
+    ranks must be positive and the slopes ``degrees[i] / ranks[i]`` must
     strictly increase; the polygon then has breakpoints given by the reversed
     cumulative sums, so its segment slopes strictly decrease.  The
     :class:`HNPolygon` constructor rejects, in integers, any other input.
     """
+    ranks = _integer_tuple("ranks", ranks)
+    degrees = _integer_tuple("degrees", degrees)
     if len(ranks) == 0:
         raise ValueError("empty quotient data")
     if len(ranks) != len(degrees):

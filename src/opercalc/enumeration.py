@@ -13,7 +13,7 @@ count that grows with r and g), ``strata_poset`` after ``STRATA_MAX_ELEMENTS`` +
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     HNPolygon, _integer_tuple, _require_at_least, _Value, dominated_by, polygon_from_quotient_data,
@@ -195,18 +195,28 @@ class MaximalityReport(_Value):
         return self.unique_maximum
 
 
+def _against_oper(
+    polys: Iterable[HNPolygon], r: int, g: int
+) -> Iterator[tuple[HNPolygon, bool, bool]]:
+    """Each polygon with whether it is the oper polygon and whether it lies
+    under it: the one test of :func:`verify_oper_maximality` and of the
+    ``enumerate`` listing, with the oper polygon built once."""
+    top = oper_polygon(r, g)
+    under_top = dominated_by(top)
+    for p in polys:
+        yield p, p == top, under_top(p)
+
+
 def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
     """Check that the oper polygon dominates every admissible polygon and is
     itself admissible, hence the unique admissible maximum, holding no list."""
     polys = iter_admissible(r, g)  # checks r and g before oper_polygon builds
-    top = oper_polygon(r, g)
-    under_top = dominated_by(top)
     count, present, counterexamples = 0, False, []
-    for count, p in enumerate(polys, 1):
+    for count, (p, is_oper, under) in enumerate(_against_oper(polys, r, g), 1):
         if count > MAX_POLYGONS:
             raise _too_many(r, g)
-        present = present or p == top
-        if not under_top(p):
+        present = present or is_oper
+        if not under:
             counterexamples.append(p)
     return MaximalityReport(
         r=r,

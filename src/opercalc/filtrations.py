@@ -73,13 +73,12 @@ def max_score_closed_form(w: int) -> int:
 
 def _partitions(w: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Weakly decreasing positive sequences with parts <= cap summing to w,
-    in decreasing lexicographic order; none unless w and cap are >= 1.
+    in decreasing lexicographic order.  Its callers have checked that w and
+    cap are positive.
 
     Each step lowers the last part above 1 and refills the rest greedily
     (Knuth, TAOCP 7.2.1.4), without recursion: a profile may have w parts.
     """
-    if w < 1 or cap < 1:
-        return
     parts: list[int] = []
     while True:
         q, rem = divmod(w, cap)  # refill w with parts <= cap

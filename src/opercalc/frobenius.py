@@ -75,20 +75,20 @@ class QuotCertificate(_Value):
 
 def quot_nonempty(problem: QuotProblem) -> QuotCertificate:
     """Non-emptiness of the degree-0 subsheaf problem, with certificate."""
-    p, g = problem.curve.p, problem.curve.g
-    q, r = problem.Q.rank, problem.r
-    if problem.Q.degree < -(r - q) * (g - 1):
+    # e = r[deg(Q) + (r-q)(g-1)] with r > 0, so the hypothesis
+    # deg(Q) >= -(r-q)(g-1) is e >= 0.
+    e = quot_dim_lower_bound(problem)
+    if e < 0:
         return QuotCertificate(False, None, None, None)
-    n = p * q
+    n = problem.curve.p * problem.Q.rank
     # the existence bound is mu(F_*Q) - ((n-r)/n)(g-1) - epsilon/(nr),
     # and mu(F_*Q) - ((n-r)/n)(g-1) = e/(nr)
-    e = r * (problem.Q.degree + (r - q) * (g - 1))
     if e <= n - 1:
         # e is the canonical residue epsilon, so the bound is e/(nr) - e/(nr).
         bound, case = Fraction(0), 1
     else:
         # epsilon <= pq - 1 always, so -epsilon/(pqr) >= -1/r.
-        bound, case = Fraction(e - n, n * r), 2
+        bound, case = Fraction(e - n, n * problem.r), 2
     return QuotCertificate(
         hypothesis_met=True, nonempty=True, case=case, slope_lower_bound=bound
     )

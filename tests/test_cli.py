@@ -233,6 +233,11 @@ class TestCalculatorCommands:
         assert err == ("error: profile must be comma-separated positive integers, "
                        f"got {profile!r}\n")
 
+    def test_sun_bound_notes_characteristic_two(self, capture):
+        code, _, err = capture("sun-bound", "--profile", "1,1", "--genus", "2", "--char", "2")
+        assert (code, err) == (
+            0, "note: characteristic 2 evaluates (p-1)/2 as the exact rational 1/2\n")
+
     def test_sun_bound_csv(self, capture):
         code, out, _ = capture(
             "sun-bound", "--profile", "1,1", "--genus", "2", "--char", "5",

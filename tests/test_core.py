@@ -42,6 +42,13 @@ from opercalc.filtrations import sun_gap_term
 from opercalc.laws import random_polygon
 
 
+def quotient_data(polygon):
+    """Per-quotient (rank, degree) pairs of ``polygon`` read bottom-up, so that
+    their slopes strictly increase: the inverse of ``polygon_from_quotient_data``."""
+    pts = polygon.breakpoints
+    return tuple((r1 - r0, d1 - d0) for (r0, d0), (r1, d1) in reversed(list(zip(pts, pts[1:]))))
+
+
 def semistable(rank: int) -> HNPolygon:
     """The semistable degree-0 polygon: a single segment to (rank, 0)."""
     return HNPolygon(((0, 0), (rank, 0)))
@@ -414,7 +421,7 @@ class TestHNPolygon:
     def test_quotient_data_inverts_construction(self):
         ranks, degrees = (1, 2, 1), (-3, 0, 2)
         poly = polygon_from_quotient_data(ranks, degrees)
-        assert poly.quotient_data() == ((1, -3), (2, 0), (1, 2))
+        assert quotient_data(poly) == ((1, -3), (2, 0), (1, 2))
 
 
 class TestPolygonFromQuotientData:
@@ -437,6 +444,19 @@ class TestPolygonFromQuotientData:
     def test_rejects_invalid_quotient_data(self, ranks, degrees):
         with pytest.raises(ValueError):
             polygon_from_quotient_data(ranks, degrees)
+
+    @pytest.mark.parametrize("ranks, degrees, message", [
+        pytest.param(("a", 1), (0, 0), "ranks must be integers, got ('a', 1)", id="str-rank"),
+        pytest.param((1.5, 1), (0, 0), "ranks must be integers, got (1.5, 1)", id="float-rank"),
+        pytest.param((1, 1), (0, Fraction(1, 2)),
+                     "degrees must be integers, got (0, Fraction(1, 2))", id="fraction-degree"),
+        pytest.param(iter([1, 1.0]), (0, 0), "ranks must be integers, got (1, 1.0)",
+                     id="iterator"),
+    ])
+    def test_names_non_integer_quotient_data(self, ranks, degrees, message):
+        with pytest.raises(ValueError) as info:
+            polygon_from_quotient_data(ranks, degrees)
+        assert str(info.value) == message
 
     def test_segment_slopes_read_back(self):
         ranks, degrees = (2, 1, 3), (-5, 0, 9)

@@ -10,6 +10,7 @@ import pytest
 from opercalc import cli, enumeration
 from opercalc.enumeration import iter_admissible
 from opercalc.laws import random_polygon
+from test_core import quotient_data
 from opercalc import (
     HNPolygon,
     enumerate_admissible,
@@ -61,7 +62,7 @@ def target_inequalities_from_quotient_data(polygon, g):
     with each side summed from the quotient data (n_j, d_j): the paper's form
     of the target inequalities, an oracle for ``verify_target_inequalities``,
     which reads V_i from the breakpoints."""
-    qd = polygon.quotient_data()  # slopes increasing: bottom-up order
+    qd = quotient_data(polygon)  # slopes increasing: bottom-up order
     return all(
         sum(d for _, d in qd[i:]) <= (g - 1) * sum(n for n, _ in qd[:i]) * sum(n for n, _ in qd[i:])
         for i in range(1, len(qd))
@@ -168,7 +169,7 @@ class TestEnumerateAdmissible:
     def test_gap_constraints_hold(self):
         gap = 2 * 3 - 2
         for poly in enumerate_admissible(4, 3):
-            slopes = [Fraction(d, n) for n, d in poly.quotient_data()]
+            slopes = [Fraction(d, n) for n, d in quotient_data(poly)]
             for lo, hi in zip(slopes, slopes[1:]):
                 assert hi - lo <= gap
 
@@ -336,6 +337,11 @@ class TestKeyInequality:
         with pytest.raises(ValueError) as info:
             key_inequality_check(3, iter([1, "a"]))
         assert str(info.value) == "m values must be integers, got (1, 'a')"
+
+    def test_rejects_negative_values(self):
+        with pytest.raises(ValueError) as info:
+            key_inequality_check(3, (1, -1))
+        assert str(info.value) == "m values must be nonnegative"
 
     def test_exhaustive_small_ranges(self):
         for l in range(2, 7):

@@ -71,6 +71,15 @@ class TestFiltrationProfile:
             FiltrationProfile((x for x in [1.5]), 2)
         assert str(info.value) == "parts must be integers, got (1.5,)"
 
+    @pytest.mark.parametrize("parts, message", [
+        ((), "profile needs at least one part"),
+        ((0,), "parts must be positive"),
+    ])
+    def test_rejects_empty_and_nonpositive_parts(self, parts, message):
+        with pytest.raises(ValueError) as info:
+            FiltrationProfile(parts, 1)
+        assert str(info.value) == message
+
 
 class TestProfileScore:
     def test_examples(self):

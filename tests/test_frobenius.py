@@ -217,3 +217,28 @@ class TestMaxDegreeCertificate:
         cert = maxdegree_certificate(BundleNumerics(1, -2), 3, CurveParams(2, 7))
         assert cert.hypotheses_met
         assert cert.slope_upper_bound < Fraction(1, 3)
+
+    def test_degree_zero_fails_only_the_degree_range(self):
+        cert = maxdegree_certificate(BundleNumerics(1, 0), 2, CurveParams(2, 3))
+        assert cert.failed_hypotheses == (
+            "degree range -(r-q)(g-1) <= deg(Q) < 0 fails: deg(Q)=0",)
+        assert (cert.hypotheses_met, cert.max_degree) == (False, None)
+
+    def test_certificates_hold_their_claim_on_a_grid(self):
+        # The certificate returns max_degree 0 without computing it: check its
+        # two witnesses wherever the hypotheses hold.  Primes up to 127, g 2..4,
+        # q 1..3, q < r < min(pq, 8), degrees from 2 below -(r-q)(g-1) up to 1.
+        primes = [p for p in range(2, 128) if all(p % k for k in range(2, p))]
+        calls = met = 0
+        for p, g, q in itertools.product(primes, range(2, 5), range(1, 4)):
+            curve = CurveParams(g, p)
+            for r in range(q + 1, min(p * q, 8)):
+                for d in range(-(r - q) * (g - 1) - 2, 2):
+                    cert = maxdegree_certificate(BundleNumerics(q, d), r, curve)
+                    calls += 1
+                    if cert.hypotheses_met:
+                        met += 1
+                        assert cert.max_degree == 0
+                        assert cert.slope_upper_bound < Fraction(1, r)
+                        assert cert.nonempty.slope_lower_bound >= 0
+        assert (len(primes), calls, met) == (31, 13_308, 3730)
