@@ -10,7 +10,6 @@ import pytest
 from opercalc import cli, enumeration
 from opercalc.enumeration import iter_admissible
 from opercalc.laws import random_polygon
-from test_core import quotient_data
 from opercalc import (
     HNPolygon,
     enumerate_admissible,
@@ -23,6 +22,7 @@ from opercalc import (
     verify_oper_maximality,
     verify_target_inequalities,
 )
+from test_core import quotient_data
 
 
 def unpruned_slow_oracle(r, g):
