@@ -111,8 +111,8 @@ class _Value:
     through ``object.__setattr__``.  It does not chain to this one for speed: that
     costs about 1.5 µs more per object.  The polygons the search yields skip
     even their own checks (``HNPolygon._from_search``), which its integer bounds
-    prove: re-checking cost about 2 µs a polygon, and without it
-    ``enumerate_admissible(7, 3)`` (5767 polygons) takes 18 ms instead of 28 ms
+    prove: re-checking cost about 3 µs a polygon, and without it
+    ``enumerate_admissible(7, 3)`` (5767 polygons) takes 11 ms instead of 26 ms
     on a 2-CPU host (Python 3.11.7, best of 21).  Equality needs
     the exact class and equal field values, the hash is that of the field
     values, and the repr reads ``Name(field=value, ...)``.  Assigning or

@@ -310,7 +310,7 @@ class TestEnumerateCommand:
         assert "5 polygons, above the limit of 4" in err
 
     def test_strata_reads_no_polygon_past_its_own_limit(self, capture, monkeypatch):
-        yielded = set()  # every level of the recursion passes each polygon up
+        yielded = set()
         complete = enumeration._complete
 
         def counted(*args):

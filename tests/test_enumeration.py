@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from opercalc import cli, enumeration
+from opercalc.core import dominated_by
 from opercalc.enumeration import iter_admissible
 from opercalc.laws import random_polygon
 from opercalc import (
@@ -166,6 +167,19 @@ class TestEnumerateAdmissible:
                 with pytest.raises(ValueError, match="MAX_POLYGONS = 250000"):
                     search(r, 2)
 
+    def test_walk_stays_lazy(self):
+        # The search memoizes ranges of next breakpoints, not the children
+        # they expand to: tables that expand each range into a tuple of y
+        # values allocate about 33 MB before the first polygon here.
+        tracemalloc.start()
+        try:
+            first = next(iter_admissible(37, 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.breakpoints == ((0, 0), (1, 1), (2, 1), (37, 0))
+        assert peak < 100_000
+
     def test_gap_constraints_hold(self):
         gap = 2 * 3 - 2
         for poly in enumerate_admissible(4, 3):
@@ -177,12 +191,21 @@ class TestEnumerateAdmissible:
     def test_search_builds_what_the_constructor_accepts(self, r, g):
         # The search skips the constructor's checks, which its bounds prove;
         # rebuilding through the constructor checks that proof on each polygon.
+        # The same walk pins the canonical order, and the flags that
+        # _against_oper reads at breakpoints against equality and the
+        # scaled-values dominance test.
+        top = oper_polygon(r, g)
+        under_top = dominated_by(top)
         types = set()
-        count = 0
-        for count, poly in enumerate(iter_admissible(r, g), 1):
+        count, previous = 0, ()
+        rows = enumeration._against_oper(iter_admissible(r, g), r, g)
+        for count, (poly, is_oper, under) in enumerate(rows, 1):
             types.update(map(type, itertools.chain.from_iterable(poly.breakpoints)))
             checked = HNPolygon(poly.breakpoints)
             assert checked == poly and hash(checked) == hash(poly)
+            assert poly.breakpoints > previous
+            previous = poly.breakpoints
+            assert (is_oper, under) == (poly == top, under_top(poly))
         assert types == {int}
         assert count == {(5, 3): 237, (7, 3): 5767, (8, 3): 29_427, (8, 4): 238_211}.get(
             (r, g), count)
