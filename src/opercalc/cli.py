@@ -12,19 +12,29 @@ Only what ``enumerate`` and ``strata`` run is imported at module level; the
 other subcommands import their modules (frobenius, filtrations, laws) in
 their own bodies, so a process starts up paying only for its command.
 ``enumerate`` and ``strata`` print no rational, so they never load
-``fractions`` (nor the ``decimal`` and ``numbers`` it imports).
+``fractions`` (nor the ``decimal`` and ``numbers`` it imports).  ``json`` is
+imported only where JSON is written (``emit``'s json branch) or read
+(``dims --config``): every table and csv run, ``check-laws`` included, skips
+its ~2 ms of import.
 
 ``COMMANDS`` is one constant table of each subcommand's handler, help line
 and options.  ``run`` reads ``argv`` against it by argparse's rules (unique
 prefixes, ``--opt=value``, exit 2 with a usage line on stderr) and builds help
 and usage text only to print them.  ``argparse`` itself, with the ``gettext``
 and ``locale`` it loads, cost about 9 ms of every process's start-up.
+
+``main``, the console entry point, turns the cyclic collector off for the
+whole run and freezes every object before it exits, so that finalization
+skips them; ``run`` keeps the collector as its caller set it.  Collecting
+and freeing the ~12 000 objects that start-up and imports made took several
+ms of every exit, and the r=8 g=4 JSON listing spent about 0.3 s of its 1.5 s
+in 1 093 collections that freed nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import io
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -97,6 +107,8 @@ def emit(
     so it has no cycle and json skips the scan for one.
     """
     if fmt == "json":
+        import json
+
         print(json.dumps(record, sort_keys=True, default=_json_default, check_circular=False))
         return
     if rows is None:
@@ -263,6 +275,8 @@ def _dims_record(r: int, g: int) -> dict[str, Any]:
 
 def cmd_dims(args: SimpleNamespace) -> int:
     if args.config:
+        import json
+
         try:
             with open(args.config) as fh:
                 sweep = json.load(fh)
@@ -447,7 +461,16 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    # The commands build no cycles worth collecting: with the collector off
+    # for a whole run, imports included, a collection afterwards frees 0
+    # objects for `enumerate`, `strata` and `check-laws` alike.  So the
+    # collector stays off, and freezing moves every object to the permanent
+    # generation, which finalization does not collect.  stdout and stderr are
+    # still flushed and atexit handlers still run.
+    gc.disable()
+    code = run()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -118,7 +118,13 @@ def _complete(r: int, g: int) -> Iterator[HNPolygon]:
                     yield HNPolygon._from_search(here + end)
 
     steps, closes = _steps(r, g, 0, 0, None)
-    yield from walk(0, 0, steps, ((0, 0),))
+    try:
+        yield from walk(0, 0, steps, ((0, 0),))
+    finally:
+        # walk reaches itself through its closure, a cycle that would keep
+        # the tables until the cyclic collector ran; breaking it frees them
+        # as soon as the walk ends or is closed.
+        del walk
     if closes:
         yield HNPolygon._from_search(((0, 0),) + end)
 

@@ -89,9 +89,8 @@ def quot_nonempty(problem: QuotProblem) -> QuotCertificate:
     else:
         # epsilon <= pq - 1 always, so -epsilon/(pqr) >= -1/r.
         bound, case = Fraction(e - n, n * problem.r), 2
-    return QuotCertificate(
-        hypothesis_met=True, nonempty=True, case=case, slope_lower_bound=bound
-    )
+    # by position: the keyword path builds a set on every call
+    return QuotCertificate(True, True, case, bound)
 
 
 def quot_dim_lower_bound(problem: QuotProblem) -> int:

@@ -57,9 +57,21 @@ def _rank_genus() -> Iterable[tuple[int, int]]:
     return itertools.product(range(2, 9), range(2, 6))
 
 
-def _pushforward_slope(p: int, g: int, q: int, d: int) -> bool:
-    fq = pushforward_numerics(BundleNumerics(q, d), CurveParams(g, p))
-    return fq.slope == Fraction(d, q) / p + (1 - Fraction(1, p)) * (g - 1)
+def _curve_grid(chars: Iterable[int], genera: Iterable[int], ranks: Iterable[int],
+                degrees: Iterable[int]) -> Iterable[tuple[CurveParams, int, int]]:
+    """``(curve, q, d)`` over the product of the four ranges, in that order,
+    with one ``CurveParams(g, p)`` for each (p, g)."""
+    for p, g in itertools.product(chars, genera):
+        curve = CurveParams(g, p)
+        for q, d in itertools.product(ranks, degrees):
+            yield curve, q, d
+
+
+def _pushforward_slope(curve: CurveParams, q: int, d: int) -> bool:
+    p, g = curve.p, curve.g
+    fq = pushforward_numerics(BundleNumerics(q, d), curve)
+    # mu(Q)/p + (1 - 1/p)(g - 1)
+    return fq.slope == Fraction(d, q * p) + Fraction((p - 1) * (g - 1), p)
 
 
 def _oper_constructions_coincide(r: int, g: int) -> bool:
@@ -92,16 +104,18 @@ def _hirschowitz_congruence(n: int, g: int, d: int, m: int) -> bool:
     return 0 <= eps <= n - 1 and (eps + m * (n - m) * (g - 1) - m * d) % n == 0
 
 
-def _quot_nonempty_cases() -> Iterable[tuple[int, int, int, int, int]]:
-    for q, p, g in itertools.product((1, 2, 3), (3, 5, 7, 11, 13), range(2, 5)):
+def _quot_nonempty_cases() -> Iterable[tuple[int, int, CurveParams, int]]:
+    curves = {(p, g): CurveParams(g, p)
+              for p, g in itertools.product((3, 5, 7, 11, 13), range(2, 5))}
+    for q, ((p, g), curve) in itertools.product((1, 2, 3), curves.items()):
         for r in range(q + 1, min(3 * q, p * q - 1) + 1):
             lo = -(r - q) * (g - 1)
             for deg in range(lo, lo + 10):
-                yield q, r, p, g, deg
+                yield q, r, curve, deg
 
 
-def _quot_certified(q: int, r: int, p: int, g: int, deg: int) -> bool:
-    cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, CurveParams(g, p)))
+def _quot_certified(q: int, r: int, curve: CurveParams, deg: int) -> bool:
+    cert = quot_nonempty(QuotProblem(BundleNumerics(q, deg), r, curve))
     return cert.hypothesis_met and cert.nonempty and cert.slope_lower_bound >= 0
 
 
@@ -158,11 +172,13 @@ def random_polygon(rng: random.Random, rank: int) -> HNPolygon:
     """Random degree-0 polygon of the given rank, built by canonicalizing a
     random concave integer profile, drops in -8..8 (collinear points merged)."""
     while True:
-        drops = sorted((rng.randint(-8, 8) for _ in range(rank)), reverse=True)
+        # randrange(17) - 8 draws what randint(-8, 8) draws, from the same stream
+        drops = [rng.randrange(17) - 8 for _ in range(rank)]
         shift = sum(drops)
         # force total degree 0 by re-centering, preserving weak decrease
         if shift % rank != 0:
             continue
+        drops.sort(reverse=True)
         drops = [d - shift // rank for d in drops]
         # the drops weakly decrease, so interior point j is collinear with its
         # neighbours exactly when the drops on either side of it are equal
@@ -173,7 +189,7 @@ def random_polygon(rng: random.Random, rank: int) -> HNPolygon:
 ALL_LAWS: tuple[Law, ...] = (
     Law(
         "pushforward-slope-identity",
-        lambda: itertools.product((2, 3, 5, 7, 11), range(2, 6), (1, 2, 3), range(-4, 5)),
+        lambda: _curve_grid((2, 3, 5, 7, 11), range(2, 6), (1, 2, 3), range(-4, 5)),
         _pushforward_slope,
     ),
     Law("oper-polygon-constructions-coincide", _rank_genus, _oper_constructions_coincide),
@@ -181,8 +197,8 @@ ALL_LAWS: tuple[Law, ...] = (
     Law("oper-dimension-identities", _rank_genus, _oper_dimensions),
     Law(
         "frobenius-oper-consistency",
-        lambda: itertools.product((2, 3, 5, 7), range(2, 5), (1, 2, 3), range(-6, 7)),
-        lambda p, g, q, d: frobenius_oper_consistency(BundleNumerics(q, d), CurveParams(g, p)),
+        lambda: _curve_grid((2, 3, 5, 7), range(2, 5), (1, 2, 3), range(-6, 7)),
+        lambda curve, q, d: frobenius_oper_consistency(BundleNumerics(q, d), curve),
     ),
     Law(
         "quot-dimension-consistency",

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import itertools
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from opercalc import HNPolygon, enumerate_admissible, enumerate_admissible_slow, enumeration
-from opercalc.cli import _cell, _json_default, run
+from opercalc.cli import _cell, _json_default, main, run
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
 
@@ -528,6 +529,50 @@ class TestUsageErrors:
             f"{ALL_LAWS[0].name},PASS,",
             "vacuous,FAIL,no cases checked",
         ]
+
+
+class TestMain:
+    """``main``, the console entry point, runs with the collector off and
+    freezes every object before it exits."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["enumerate", "--rank", "3", "--genus", "2", "--verify"], 0),
+        (["enumerate", "--rank", "3", "--genus", "x"], 2),
+    ], ids=["verify", "usage-error"])
+    def test_exits_with_the_code_of_run_and_the_collector_off(self, monkeypatch, capsys,
+                                                               argv, code):
+        monkeypatch.setattr(sys, "argv", ["opercalc", *argv])
+        try:
+            with pytest.raises(SystemExit) as exited:
+                main()
+            assert exited.value.code == code
+            assert not gc.isenabled()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            gc.enable()
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert (out.split()[-2:], err) == (["true", "true"], "")
+        else:
+            assert out == "" and "invalid int value: 'x'" in err
+
+    def test_the_commands_leave_no_cyclic_garbage(self, capture):
+        """What keeping the collector off rests on: a collection after the
+        largest commands frees a few objects at most, however long their
+        output."""
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in (["enumerate", "--rank", "8", "--genus", "3", "--format", "json"],
+                         ["strata", "--rank", "7", "--genus", "3"],
+                         ["check-laws"]):
+                code, out, _ = capture(*argv)
+                assert code == 0 and out
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert freed < 50
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

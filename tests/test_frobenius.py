@@ -224,6 +224,23 @@ class TestMaxDegreeCertificate:
             "degree range -(r-q)(g-1) <= deg(Q) < 0 fails: deg(Q)=0",)
         assert (cert.hypotheses_met, cert.max_degree) == (False, None)
 
+    @pytest.mark.parametrize("q, d, r, p, failed", [
+        # r = q: the rank range fails, and the degree range -(r-q)(g-1) = 0 is empty
+        (1, -1, 1, 3, ("rank range q < r < pq fails: q=1, r=1, pq=3",
+                       "degree range -(r-q)(g-1) <= deg(Q) < 0 fails: deg(Q)=-1")),
+        (2, -1, 2, 5, ("rank range q < r < pq fails: q=2, r=2, pq=10",
+                       "degree range -(r-q)(g-1) <= deg(Q) < 0 fails: deg(Q)=-1")),
+        # r = pq: the rank range fails, and p > r(r-1)(g-1) cannot hold
+        (1, -1, 3, 3, ("rank range q < r < pq fails: q=1, r=3, pq=3",
+                       "p > r(r-1)(g-1) fails: p=3, r(r-1)(g-1)=6")),
+        (2, -1, 4, 2, ("rank range q < r < pq fails: q=2, r=4, pq=4",
+                       "p > r(r-1)(g-1) fails: p=2, r(r-1)(g-1)=12")),
+    ], ids=["r=q", "r=q=2", "r=pq", "r=pq=4"])
+    def test_rank_range_is_strict_at_both_ends(self, q, d, r, p, failed):
+        cert = maxdegree_certificate(BundleNumerics(q, d), r, CurveParams(2, p))
+        assert cert.failed_hypotheses == failed
+        assert (cert.hypotheses_met, cert.max_degree) == (False, None)
+
     def test_certificates_hold_their_claim_on_a_grid(self):
         # The certificate returns max_degree 0 without computing it: check its
         # two witnesses wherever the hypotheses hold.  Primes up to 127, g 2..4,

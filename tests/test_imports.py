@@ -2,7 +2,6 @@
 the package source may not use."""
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -45,24 +44,30 @@ UNNEEDED_MODULES = ["argparse", "dataclasses", "gettext", "inspect", "locale"]
 # slow oracle.
 FRACTION_MODULES = ["decimal", "fractions", "numbers"]
 
+# Loaded only where JSON is written (``--format json``) or read (``dims --config``).
+JSON_MODULES = ["json"]
+
+WATCHED_MODULES = UNNEEDED_MODULES + FRACTION_MODULES + JSON_MODULES
+
 
 def opercalc_modules_after(statements: str) -> list[str]:
     """The sorted ``opercalc`` entries of ``sys.modules``, and those of
-    :data:`UNNEEDED_MODULES` and :data:`FRACTION_MODULES`, once ``statements``
-    have run in a fresh interpreter, with their stdout discarded."""
+    :data:`WATCHED_MODULES`, once ``statements`` have run in a fresh
+    interpreter, with their stdout discarded.  The probe prints a repr, not
+    JSON, so that it loads none of the watched modules itself."""
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in statements.splitlines())
-        + "print(json.dumps(sorted(m for m in sys.modules"
+        + "print(sorted(m for m in sys.modules"
         " if m == 'opercalc' or m.startswith('opercalc.')"
-        f" or m in {UNNEEDED_MODULES + FRACTION_MODULES!r})))\n"
+        f" or m in {WATCHED_MODULES!r}))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    return json.loads(done.stdout)
+    return ast.literal_eval(done.stdout)
 
 
 class TestImportSet:
@@ -70,23 +75,29 @@ class TestImportSet:
         ("import opercalc.cli", []),
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--verify',"
-         " '--format', 'json']) == 0", []),
+         " '--format', 'json']) == 0", JSON_MODULES),
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--format', 'csv'])"
          " == 0", []),
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--format', 'json'])"
-         " == 0", []),
+         " == 0", JSON_MODULES),
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', '3', '--genus', '2']) == 0", []),
         ("from opercalc import cli\n"
          "assert cli.run(['strata', '--rank', '3', '--genus', '2']) == 0", []),
+        ("from opercalc import cli\n"
+         "assert cli.run(['strata', '--rank', '3', '--genus', '2', '--format', 'json']) == 0",
+         JSON_MODULES),
         ("from opercalc import cli\n"
          "assert cli.run(['pushforward', '--rank', '2', '--degree', '1', '--genus', '2',"
          " '--char', '3']) == 0", ["opercalc.frobenius", *FRACTION_MODULES]),
         ("from opercalc import cli\n"
          "assert cli.run(['optimize', '--weight', '4', '--cap', '2']) == 0",
          ["opercalc.filtrations", *FRACTION_MODULES]),
+        ("from opercalc import cli\n"
+         "assert cli.run(['dims', '--rank', '3', '--genus', '2', '--format', 'csv']) == 0",
+         ["opercalc.frobenius", *FRACTION_MODULES]),
         ("from opercalc import cli\n"
          "assert cli.run(['check-laws']) == 0",
          ["opercalc.filtrations", "opercalc.frobenius", "opercalc.laws", *FRACTION_MODULES]),
@@ -95,10 +106,18 @@ class TestImportSet:
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', 'x']) == 2", []),
     ], ids=["import", "enumerate-verify", "enumerate-csv", "enumerate-json",
-            "enumerate-table", "strata", "pushforward", "optimize", "check-laws", "help",
-            "usage-error"])
+            "enumerate-table", "strata", "strata-json", "pushforward", "optimize", "dims",
+            "check-laws", "help", "usage-error"])
     def test_cli_imports_only_what_its_command_runs(self, statements, extra):
         assert opercalc_modules_after(statements) == sorted(CLI_MODULES + extra)
+
+    def test_dims_config_loads_json_to_read_the_sweep(self, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text('{"rank": [2], "genus": [2]}')
+        assert opercalc_modules_after(
+            "from opercalc import cli\n"
+            f"assert cli.run(['dims', '--config', {str(config)!r}]) == 0"
+        ) == sorted(CLI_MODULES + ["opercalc.frobenius", *FRACTION_MODULES, *JSON_MODULES])
 
     def test_the_slow_oracle_cross_check_loads_no_fractions(self):
         # what perfbench/crosscheck.py runs, through the package attributes
