@@ -5,8 +5,9 @@ that ``dims --config`` always writes CSV.
 Rationals print as "a/b" in tables and CSV and as {"num", "den"} decimal
 strings in JSON; never as decimals.  Polygons print as their breakpoints:
 ``0,0;1,2;2,2;3,0`` in a cell, ``{"breakpoints": [[0, 0], ...]}`` in JSON.
-Only ``emit``'s two renderers know these rules.  Exit codes: 0 success,
-1 verification failure (counterexample found), 2 usage error.
+Only ``emit``'s two renderers, ``_cell`` and ``_json_default``, know these
+rules.  Exit codes: 0 success, 1 verification failure (counterexample
+found), 2 usage error.
 
 Only what ``enumerate`` and ``strata`` run is imported at module level; the
 other subcommands import their modules (frobenius, filtrations, laws) in
@@ -80,9 +81,9 @@ def _cell(value: Any) -> str:
 
 def _json_default(value: Any) -> Any:
     """What the JSON encoder writes for a value it has no rule for: a polygon
-    as its ``to_json()``, a rational as ``{"num", "den"}`` decimal strings."""
+    as ``{"breakpoints": ...}``, a rational as ``{"num", "den"}`` decimal strings."""
     if isinstance(value, HNPolygon):
-        return value.to_json()
+        return {"breakpoints": value.breakpoints}  # json writes tuples as arrays
     try:
         return {"num": str(value.numerator), "den": str(value.denominator)}
     except AttributeError:

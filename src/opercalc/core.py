@@ -4,9 +4,8 @@ Polygon breakpoints are integers, and no floating point is used anywhere in
 the package.  Dominance is one rule, decided in integers without building a
 ``Fraction``: a polygon lies under another iff its values at x = 1 .. r-1,
 scaled by lcm(1, ..., r) (:func:`_scaled_values`), are at most the other's.
-:func:`shatz_leq` compares two such vectors, :func:`dominated_by` compares
-many to one built once, and :func:`strata_poset` compares them all at once,
-one Python-int bitset of dominating elements per polygon.
+:func:`shatz_leq` compares two such vectors and :func:`strata_poset` compares
+them all at once, one Python-int bitset of dominating elements per polygon.
 :meth:`HNPolygon.value_at` and the rest of the public API still return
 ``Fraction`` values.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 from itertools import accumulate, groupby
 from math import lcm
 from operator import index, le
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -277,9 +276,6 @@ class HNPolygon(_Value):
         w = r1 - r0
         return Fraction(d0 * w * b + (d1 - d0) * (a - r0 * b), w * b)
 
-    def to_json(self) -> dict:
-        return {"breakpoints": self.breakpoints}  # json writes tuples as arrays
-
 
 def polygon_from_quotient_data(
     ranks: Sequence[int], degrees: Sequence[int]
@@ -310,23 +306,12 @@ def shatz_leq(a: HNPolygon, b: HNPolygon) -> bool:
     iff the vector of :func:`_scaled_values` of ``a`` is componentwise at
     most that of ``b``.
     """
-    return dominated_by(b)(a)
-
-
-def dominated_by(top: HNPolygon) -> Callable[[HNPolygon], bool]:
-    """The test ``shatz_leq(a, top)`` as a function of ``a``, with lcm(1, ..., r)
-    and the scaled vector of ``top`` computed once for every polygon tested."""
-    scale = lcm(*range(1, top.total_rank + 1))
-    ceiling = _scaled_values(top, scale)
-
-    def under_top(a: HNPolygon) -> bool:
-        if a.endpoint != top.endpoint:
-            raise ValueError(
-                f"polygons not comparable: endpoints {a.endpoint} != {top.endpoint}"
-            )
-        return all(map(le, _scaled_values(a, scale), ceiling))
-
-    return under_top
+    if a.endpoint != b.endpoint:
+        raise ValueError(
+            f"polygons not comparable: endpoints {a.endpoint} != {b.endpoint}"
+        )
+    scale = lcm(*range(1, b.total_rank + 1))
+    return all(map(le, _scaled_values(a, scale), _scaled_values(b, scale)))
 
 
 class PosetDescription(_Value):

@@ -299,6 +299,11 @@ def verify_target_inequalities(polygon: HNPolygon, g: int) -> bool:
     (i, i(r-i)(g-1)).  Equivalent to dominance by the oper polygon of the same
     rank, since the polygon is linear between its breakpoints and the oper
     polygon is concave.
+
+    The paper's formula stays written out here on purpose: this is the
+    independent side of the law ``target-inequality-equivalence``, which
+    would compare a rule with itself if it read :func:`_against_oper`, which
+    builds the oper polygon each call (9 µs against 2 µs at r=4 g=3, 2-CPU host).
     """
     _require_at_least(2, genus=g)
     r, degree = polygon.endpoint

@@ -107,21 +107,22 @@ class ExpectedDimensions(_Value):
 
     ``destabilized_locus_dim`` (3g-4) is reported only for rank 2;
     ``quot_expected`` is the expected dimension of the canonical subsheaf
-    problem (always 0); ``oper_quot_degree`` is -(r-1)(g-1).
+    problem (always 0); ``oper_quot_degree`` is the degree of the first
+    quotient of :meth:`OperShape.degree_zero_type_one`.
     """
 
     __slots__ = ("destabilized_locus_dim", "quot_expected", "oper_quot_degree")
 
 
 def expected_dimensions(r: int, g: int) -> ExpectedDimensions:
+    from .opers import OperShape
+
     _require_at_least(2, rank=r, genus=g)
-    deg_q = -(r - 1) * (g - 1)
-    # q = 1 line-bundle problem: r[(r-1)(g-1) + deg_q] = 0 identically.
-    quot_expected = r * ((r - 1) * (g - 1) + deg_q)
+    shape = OperShape.degree_zero_type_one(r, CurveParams(g))
     return ExpectedDimensions(
         destabilized_locus_dim=3 * g - 4 if r == 2 else None,
-        quot_expected=quot_expected,
-        oper_quot_degree=deg_q,
+        quot_expected=0,  # quot-dimension-consistency checks it by quot_dim_lower_bound
+        oper_quot_degree=shape.quotient.degree,
     )
 
 
@@ -149,6 +150,8 @@ def maxdegree_certificate(
     failed = []
     if not q < r < p * q:
         failed.append(f"rank range q < r < pq fails: q={q}, r={r}, pq={p * q}")
+    # Stated here, not read as quot_dim_lower_bound >= 0: when the rank range
+    # fails there is no QuotProblem to read it from, and every failure is reported.
     if not -(r - q) * (g - 1) <= Q.degree < 0:
         failed.append(
             f"degree range -(r-q)(g-1) <= deg(Q) < 0 fails: deg(Q)={Q.degree}"

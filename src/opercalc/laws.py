@@ -86,7 +86,9 @@ def _oper_symmetric(r: int, g: int) -> bool:
 
 
 def _oper_dimensions(r: int, g: int) -> bool:
-    dim = (g - 1) * (r * r - 1)
+    # The Hitchin base is the sum of H^0(K^i), i = 2..r, and Riemann-Roch gives
+    # h^0(K^i) = (2i-1)(g-1) for i >= 2.
+    dim = sum((2 * i - 1) * (g - 1) for i in range(2, r + 1))
     return oper_space_dimensions(r, g) == (dim, dim) and dormant_sum_identity(r, g)
 
 
@@ -96,7 +98,8 @@ def _quot_dimension_cases() -> Iterable[tuple[QuotProblem, int]]:
         yield QuotProblem(BundleNumerics(1, -(g - 1) + d), 2, CurveParams(g, 3)), 2 * d
     # the canonical problem has expected dimension exactly 0
     for r, g in itertools.product(range(2, 7), range(2, 6)):
-        yield QuotProblem(BundleNumerics(1, -(r - 1) * (g - 1)), r, CurveParams(g, 11)), 0
+        curve = CurveParams(g, 11)
+        yield QuotProblem(OperShape.degree_zero_type_one(r, curve).quotient, r, curve), 0
 
 
 def _hirschowitz_congruence(n: int, g: int, d: int, m: int) -> bool:

@@ -5,6 +5,7 @@ tolerances anywhere in this module.
 """
 
 import itertools
+import json
 import random
 import sys
 import time
@@ -29,6 +30,7 @@ from opercalc import (
     verify_oper_maximality,
     worst_case_subbundle_slope_bound,
 )
+from opercalc import cli
 from opercalc.filtrations import _partitions, sun_gap_term
 from opercalc.laws import ALL_LAWS, random_polygon
 
@@ -159,6 +161,7 @@ def test_criterion_8_property_suites():
     )
     for r, g in itertools.product(range(2, 6), (2, 3)):
         polys = enumerate_admissible(r, g)
-        round_tripped = tuple(HNPolygon(p.to_json()["breakpoints"]) for p in polys)
+        loaded = json.loads(json.dumps(polys, default=cli._json_default))
+        round_tripped = tuple(HNPolygon(p["breakpoints"]) for p in loaded)
         ok = ok and round_tripped == polys
     _report(8, "property suites", ok)

@@ -36,6 +36,7 @@ from opercalc import (
     verify_target_inequalities,
     worst_case_subbundle_slope_bound,
 )
+from opercalc import cli
 from opercalc.core import _is_prime
 from opercalc.enumeration import iter_admissible
 from opercalc.filtrations import sun_gap_term
@@ -408,7 +409,8 @@ class TestHNPolygon:
 
     def test_json_round_trip(self):
         poly = HNPolygon(((0, 0), (1, 2), (2, 2), (3, 0)))
-        assert HNPolygon(json.loads(json.dumps(poly.to_json()))["breakpoints"]) == poly
+        written = json.dumps(poly, default=cli._json_default)
+        assert HNPolygon(json.loads(written)["breakpoints"]) == poly
 
     @pytest.mark.parametrize("breakpoints", [
         [[0, 0], [1.9, 2], [3, 0]],

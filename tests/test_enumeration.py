@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from opercalc import cli, enumeration
-from opercalc.core import dominated_by
+from opercalc.core import _scaled_values
 from opercalc.enumeration import iter_admissible
 from opercalc.laws import random_polygon
 from opercalc import (
@@ -195,7 +197,8 @@ class TestEnumerateAdmissible:
         # _against_oper reads at breakpoints against equality and the
         # scaled-values dominance test.
         top = oper_polygon(r, g)
-        under_top = dominated_by(top)
+        scale = math.lcm(*range(1, r + 1))
+        ceiling = _scaled_values(top, scale)
         types = set()
         count, previous = 0, ()
         rows = enumeration._against_oper(iter_admissible(r, g), r, g)
@@ -205,7 +208,8 @@ class TestEnumerateAdmissible:
             assert checked == poly and hash(checked) == hash(poly)
             assert poly.breakpoints > previous
             previous = poly.breakpoints
-            assert (is_oper, under) == (poly == top, under_top(poly))
+            vector = _scaled_values(poly, scale)
+            assert (is_oper, under) == (poly == top, all(map(operator.le, vector, ceiling)))
         assert types == {int}
         assert count == {(5, 3): 237, (7, 3): 5767, (8, 3): 29_427, (8, 4): 238_211}.get(
             (r, g), count)

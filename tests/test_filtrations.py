@@ -143,6 +143,17 @@ class TestMaxScore:
         with pytest.raises(ValueError, match="weight 7 cap 3: more than 6 profiles, .* = 42"):
             max_score_brute_force(7, 3)
 
+    @pytest.mark.parametrize("w, q, profiles", [(4, 4, 5), (8, 2, 5)])
+    def test_refusal_boundary(self, monkeypatch, w, q, profiles):
+        # Profiles times weight at exactly MAX_PARTS is answered, one more is
+        # refused.  Weight 8 cap 2 has w // 2 + 1 = 5 profiles, so at the lower
+        # limit the count stops before it sums any.
+        monkeypatch.setattr("opercalc.filtrations.MAX_PARTS", profiles * w)
+        assert max_score_brute_force(w, q)[0] == max_score_closed_form(w)
+        monkeypatch.setattr("opercalc.filtrations.MAX_PARTS", profiles * w - 1)
+        with pytest.raises(ValueError, match=f"weight {w} cap {q}: more than {profiles - 1} "):
+            max_score_brute_force(w, q)
+
     def test_refuses_past_the_profile_limit(self, monkeypatch):
         # MAX_PARTS // w profiles is the limit, and the count stops past it:
         # weight 52 has 281 589 profiles, more than 12 500 000 // 52 = 240 384

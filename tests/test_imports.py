@@ -133,6 +133,9 @@ class TestImportSet:
     def test_one_name_loads_only_its_module(self):
         assert opercalc_modules_after("from opercalc import HNPolygon") == [
             "opercalc", "opercalc.core"]
+        # expected_dimensions reads the canonical shape from opers only when called
+        assert opercalc_modules_after("from opercalc import expected_dimensions") == [
+            *FRACTION_MODULES, "opercalc", "opercalc.core", "opercalc.frobenius"]
 
 
 class TestLazyExports:
