@@ -27,12 +27,12 @@ _EXPORTS = {
             "MaximalityReport",
             "enumerate_admissible",
             "enumerate_admissible_slow",
-            "key_inequality_check",
             "verify_oper_maximality",
             "verify_target_inequalities",
         ),
         "filtrations": (
             "FiltrationProfile",
+            "key_inequality_check",
             "max_score_brute_force",
             "max_score_closed_form",
             "oper_subbundle_slope_bound",
@@ -47,6 +47,7 @@ _EXPORTS = {
             "QuotCertificate",
             "QuotProblem",
             "expected_dimensions",
+            "frobenius_oper_consistency",
             "hirschowitz_bound",
             "maxdegree_certificate",
             "pushforward_numerics",
@@ -56,7 +57,6 @@ _EXPORTS = {
         "opers": (
             "OperShape",
             "dormant_sum_identity",
-            "frobenius_oper_consistency",
             "oper_polygon",
             "oper_quotient_degrees",
             "oper_space_dimensions",

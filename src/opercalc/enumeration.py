@@ -12,12 +12,10 @@ count that grows with r and g), ``strata_poset`` after ``STRATA_MAX_ELEMENTS`` +
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator
 
-from .core import (
-    HNPolygon, _integer_tuple, _require_at_least, _Value, polygon_from_quotient_data,
-)
+from .core import HNPolygon, _require_at_least, _Value, polygon_from_quotient_data
 from .opers import oper_polygon
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
@@ -32,43 +30,37 @@ def _too_many(r: int, g: int) -> ValueError:
 
 
 def _steps(
-    r: int, g: int, x: int, y: int, prev: tuple[int, int] | None
+    r: int, g: int, x: int, y: int, prev: tuple[int, int]
 ) -> tuple[tuple[tuple[int, range], ...], bool]:
-    """The steps out of breakpoint (x, y), reached by a segment of slope ``prev``.
+    """The steps out of breakpoint (x, y) past the origin, reached by a
+    segment of slope ``prev``.
 
-    ``prev`` is an integer pair ``(rise, run)`` with ``run > 0``, or None at
-    the origin.  Returns each ``x2 < r`` with the non-empty range of ``y2``
-    that :func:`_complete` may put next, in increasing ``x2``, and whether
-    (r, 0) may close the chain.
+    ``prev`` is an integer pair ``(rise, run)`` with ``run > 0``.  Returns
+    each ``x2 < r`` with the non-empty range of ``y2`` that :func:`_complete`
+    may put next, in increasing ``x2``, and whether (r, 0) may close the chain.
     """
     gap = 2 * g - 2
     width = r - x
-    if prev is not None:
-        rise, run = prev
+    rise, run = prev
     steps = []
     for x2 in range(x + 1, r + 1):
         dx = x2 - x
-        if prev is None:
-            y2_hi = y + (r - 1) * gap * dx
-            y2_lo = -(r - 1) * gap * dx  # slack; tightened below
-        else:
-            # slope strictly below the previous one, gap at most 2g-2:
-            # y2_hi = ceil(y + prev*dx) - 1, y2_lo = ceil(y + (prev - gap)*dx)
-            y2_hi = y - (-rise * dx) // run - 1
-            y2_lo = y - ((gap * run - rise) * dx) // run
+        # slope strictly below the previous one, gap at most 2g-2:
+        # y2_hi = ceil(y + prev*dx) - 1, y2_lo = ceil(y + (prev - gap)*dx)
+        y2_hi = y - (-rise * dx) // run - 1
+        y2_lo = y - ((gap * run - rise) * dx) // run
         if x2 == r:
             break
         rest = r - x2
         # remaining chord slope c = -y2/rest: strictly below the slope
         # s = (y2-y)/dx, and reachable within at most `rest` further drops
         # of 2g-2: s - rest*gap <= c < s.  Scaled by dx*rest > 0 this is
-        # y*rest < y2*(r-x) <= y*rest + gap*dx*rest^2.  Comparisons, not
-        # max() and min(), take a third less time.
+        # y*rest < y2*(r-x) <= y*rest + gap*dx*rest^2.  Past the origin
+        # y >= 1, so lo >= 1.  Comparisons, not max() and min(), take a
+        # third less time.
         lo = y * rest // width + 1
         if lo < y2_lo:
             lo = y2_lo
-        if lo < 1:
-            lo = 1
         hi = (y * rest + gap * dx * rest * rest) // width
         if hi > y2_hi:
             hi = y2_hi
@@ -78,7 +70,8 @@ def _steps(
 
 
 def _complete(r: int, g: int) -> Iterator[HNPolygon]:
-    """Yield each breakpoint chain from (0, 0) to (r, 0) that :func:`_steps` allows.
+    """Yield each breakpoint chain from (0, 0) to (r, 0) that :func:`_steps`
+    allows past the origin, whose steps are in closed form.
 
     Chains are yielded in increasing lexicographic order of their
     breakpoints, each once: at each breakpoint, the steps in increasing
@@ -99,6 +92,7 @@ def _complete(r: int, g: int) -> Iterator[HNPolygon]:
     # builds no tuple for a key as it reads the ys of a step.
     tables: dict[tuple[int, int, int], dict[int, tuple[tuple[tuple[int, range], ...], bool]]] = {}
     end = ((r, 0),)
+    gap = 2 * g - 2
 
     def walk(x: int, y: int, steps: tuple[tuple[int, range], ...],
              pts: tuple[tuple[int, int], ...]) -> Iterator[HNPolygon]:
@@ -117,16 +111,20 @@ def _complete(r: int, g: int) -> Iterator[HNPolygon]:
                 if closes:
                     yield HNPolygon._from_search(here + end)
 
-    steps, closes = _steps(r, g, 0, 0, None)
+    # The origin's steps are the chord bounds of _steps at y = 0, where no
+    # slope precedes the first: lo = 1 and hi = gap*x2*(r-x2)^2 // r.  Each
+    # range is non-empty, since x2*(r-x2) >= r-1 and gap >= 2 give
+    # gap*x2*(r-x2)^2 >= 2(r-1) >= r; and (r, 0) always closes the straight
+    # segment, so the semistable polygon comes last.
+    origin = tuple((x2, range(1, gap * x2 * (r - x2) ** 2 // r + 1)) for x2 in range(1, r))
     try:
-        yield from walk(0, 0, steps, ((0, 0),))
+        yield from walk(0, 0, origin, ((0, 0),))
     finally:
         # walk reaches itself through its closure, a cycle that would keep
         # the tables until the cyclic collector ran; breaking it frees them
         # as soon as the walk ends or is closed.
         del walk
-    if closes:
-        yield HNPolygon._from_search(((0, 0),) + end)
+    yield HNPolygon._from_search(((0, 0),) + end)
 
 
 def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
@@ -147,15 +145,6 @@ def enumerate_admissible(r: int, g: int) -> tuple[HNPolygon, ...]:
     if len(polys) > MAX_POLYGONS:
         raise _too_many(r, g)
     return polys
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
@@ -179,11 +168,14 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
       that is (n + R) d >= -n S - n (2g-2) W.
 
     The last part's degree is then fixed at -S and kept if it meets the
-    slope bounds.
+    slope bounds.  The slopes strictly increase, so every partial sum of
+    the quotient data is a vertex of the polygon, which thus determines the
+    composition and the degrees: each one kept is a distinct polygon, and the
+    walk lists them without a set that could hide a duplicate.
     """
     _require_at_least(2, rank=r, genus=g)
     gap = 2 * g - 2
-    found: set[HNPolygon] = set()
+    found: list[HNPolygon] = []
 
     def extend(degrees: tuple[int, ...], total: int, comp: tuple[int, ...],
                later: tuple[tuple[int, int], ...], bound: int) -> None:
@@ -198,7 +190,7 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
         if i == len(comp) - 1:
             # total degree 0 fixes the last degree
             if lo <= -total <= hi:
-                found.add(polygon_from_quotient_data(comp, degrees + (-total,)))
+                found.append(polygon_from_quotient_data(comp, degrees + (-total,)))
             return
         rank, weight = later[i]
         # the later slopes lie above d/n and within the gap of it, step by step
@@ -209,7 +201,10 @@ def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
 
     for l in range(1, r + 1):
         bound = (l - 1) * gap
-        for comp in _compositions(r, l):
+        # a composition of r into l parts is a choice of l - 1 cuts in 1 .. r-1
+        for cuts in combinations(range(1, r), l - 1):
+            ends = (0,) + cuts + (r,)
+            comp = tuple(b - a for a, b in zip(ends, ends[1:]))
             # later[i] = (R, W) of part i, as suffix sums: W_i = W_{i+1} + R_i
             later, rank, weight = [], 0, 0
             for n in reversed(comp):
@@ -310,21 +305,3 @@ def verify_target_inequalities(polygon: HNPolygon, g: int) -> bool:
     if degree != 0:
         raise ValueError("target inequalities apply to degree-0 polygons")
     return all(y <= (g - 1) * x * (r - x) for x, y in polygon.breakpoints[1:-1])
-
-
-def key_inequality_check(l: int, m_values: Sequence[int]) -> bool:
-    """2(m_{l-1} + 2 m_{l-2} + ... + (l-1) m_1) <= (2l-1)(m_1 + ... + m_{l-1}).
-
-    Coefficient j pairs with m_{l-j}, following the displayed formula
-    literally.  Always true for nonnegative m_i; exposed as a law.
-    """
-    _require_at_least(2, l=l)
-    m_values = _integer_tuple("m values", m_values)
-    if len(m_values) != l - 1:
-        raise ValueError(f"expected {l - 1} values, got {len(m_values)}")
-    if any(m < 0 for m in m_values):
-        raise ValueError("m values must be nonnegative")
-    lhs = 2 * sum(j * m_values[l - j - 1] for j in range(1, l))
-    rhs = (2 * l - 1) * sum(m_values)
-    return lhs <= rhs
-

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     BundleNumerics, CurveParams, _integer_tuple, _require_at_least, _require_integers, _Value,
@@ -204,3 +204,20 @@ def rearrangement_check(profile: FiltrationProfile) -> bool:
     m, r = profile.m, profile.parts
     total = sum((m - 2 * i) * (r[i] - r[m - i]) for i in range(m // 2 + 1))
     return total >= 0
+
+
+def key_inequality_check(l: int, m_values: Sequence[int]) -> bool:
+    """2(m_{l-1} + 2 m_{l-2} + ... + (l-1) m_1) <= (2l-1)(m_1 + ... + m_{l-1}).
+
+    Coefficient j pairs with m_{l-j}, following the displayed formula
+    literally.  Always true for nonnegative m_i; exposed as a law.
+    """
+    _require_at_least(2, l=l)
+    m_values = _integer_tuple("m values", m_values)
+    if len(m_values) != l - 1:
+        raise ValueError(f"expected {l - 1} values, got {len(m_values)}")
+    if any(m < 0 for m in m_values):
+        raise ValueError("m values must be nonnegative")
+    lhs = 2 * sum(j * m_values[l - j - 1] for j in range(1, l))
+    rhs = (2 * l - 1) * sum(m_values)
+    return lhs <= rhs

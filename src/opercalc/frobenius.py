@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import BundleNumerics, CurveParams, _require_at_least, _require_integers, _Value
+from .opers import OperShape
 
 
 def pushforward_numerics(Q: BundleNumerics, curve: CurveParams) -> BundleNumerics:
@@ -20,6 +21,14 @@ def pushforward_numerics(Q: BundleNumerics, curve: CurveParams) -> BundleNumeric
     p, g = curve.require_positive_char(), curve.g
     q = Q.rank
     return BundleNumerics(p * q, Q.degree + q * (p - 1) * (g - 1))
+
+
+def frobenius_oper_consistency(E: BundleNumerics, curve: CurveParams) -> bool:
+    """Cross-formula law: the length-p shape on E has degree p * deg of the
+    Frobenius pushforward of E. Holds for all inputs."""
+    p = curve.require_positive_char()
+    shape = OperShape(E, p, curve)
+    return shape.degree == p * pushforward_numerics(E, curve).degree
 
 
 def hirschowitz_bound(n: int, d: int, m: int, g: int) -> tuple[int, Fraction]:
@@ -115,8 +124,6 @@ class ExpectedDimensions(_Value):
 
 
 def expected_dimensions(r: int, g: int) -> ExpectedDimensions:
-    from .opers import OperShape
-
     _require_at_least(2, rank=r, genus=g)
     shape = OperShape.degree_zero_type_one(r, CurveParams(g))
     return ExpectedDimensions(

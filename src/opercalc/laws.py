@@ -18,20 +18,17 @@ from typing import Iterable
 from .core import (
     BundleNumerics, CurveParams, HNPolygon, _Value, polygon_from_quotient_data, shatz_leq,
 )
-from .enumeration import (
-    enumerate_admissible, key_inequality_check, verify_oper_maximality,
-    verify_target_inequalities,
-)
+from .enumeration import enumerate_admissible, verify_oper_maximality, verify_target_inequalities
 from .filtrations import (
-    FiltrationProfile, _partitions, max_score_brute_force, max_score_closed_form,
-    rearrangement_check, sun_gap_term, worst_case_subbundle_slope_bound,
+    FiltrationProfile, _partitions, key_inequality_check, max_score_brute_force,
+    max_score_closed_form, rearrangement_check, sun_gap_term, worst_case_subbundle_slope_bound,
 )
 from .frobenius import (
-    QuotProblem, hirschowitz_bound, pushforward_numerics, quot_dim_lower_bound, quot_nonempty,
+    QuotProblem, frobenius_oper_consistency, hirschowitz_bound, pushforward_numerics,
+    quot_dim_lower_bound, quot_nonempty,
 )
 from .opers import (
-    OperShape, dormant_sum_identity, frobenius_oper_consistency, oper_polygon,
-    oper_quotient_degrees, oper_space_dimensions,
+    OperShape, dormant_sum_identity, oper_polygon, oper_quotient_degrees, oper_space_dimensions,
 )
 
 

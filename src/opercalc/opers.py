@@ -79,13 +79,3 @@ def oper_space_dimensions(r: int, g: int) -> tuple[int, int]:
     _require_at_least(2, rank=r, genus=g)
     dim = (g - 1) * (r * r - 1)
     return dim, dim
-
-
-def frobenius_oper_consistency(E: BundleNumerics, curve: CurveParams) -> bool:
-    """Cross-formula law: the length-p shape on E has degree p * deg of the
-    Frobenius pushforward of E. Holds for all inputs."""
-    from .frobenius import pushforward_numerics
-
-    p = curve.require_positive_char()
-    shape = OperShape(E, p, curve)
-    return shape.degree == p * pushforward_numerics(E, curve).degree

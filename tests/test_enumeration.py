@@ -182,6 +182,25 @@ class TestEnumerateAdmissible:
         assert first.breakpoints == ((0, 0), (1, 1), (2, 1), (37, 0))
         assert peak < 100_000
 
+    @pytest.mark.parametrize("r, g, tables", [(4, 2, 19), (5, 3, 181), (6, 2, 138),
+                                              (7, 3, 1126)])
+    def test_walk_computes_each_step_table_once(self, monkeypatch, r, g, tables):
+        # The origin's steps are in closed form, and each later state's are
+        # computed at its first visit.  An origin range loosened by a step
+        # yields the same polygons but reaches more states: 1132 or more at
+        # rank 7 genus 3.
+        steps, calls = enumeration._steps, 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return steps(*args)
+
+        monkeypatch.setattr(enumeration, "_steps", counted)
+        for _ in iter_admissible(r, g):
+            pass
+        assert calls == tables
+
     def test_gap_constraints_hold(self):
         gap = 2 * 3 - 2
         for poly in enumerate_admissible(4, 3):

@@ -1,7 +1,9 @@
-"""What each entry point imports, the lazily loaded package names, and what
-the package source may not use."""
+"""What each entry point imports, the lazily loaded package names, which way
+the package's modules import one another, and what the package source may
+not use."""
 
 import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -133,9 +135,56 @@ class TestImportSet:
     def test_one_name_loads_only_its_module(self):
         assert opercalc_modules_after("from opercalc import HNPolygon") == [
             "opercalc", "opercalc.core"]
-        # expected_dimensions reads the canonical shape from opers only when called
+        # frobenius reads the canonical shape from opers, which every CLI process loads
         assert opercalc_modules_after("from opercalc import expected_dimensions") == [
-            *FRACTION_MODULES, "opercalc", "opercalc.core", "opercalc.frobenius"]
+            *FRACTION_MODULES, "opercalc", "opercalc.core", "opercalc.frobenius",
+            "opercalc.opers"]
+
+
+# The relative imports made inside a function body, as (importer, imported):
+# each spares some command of the CLI a module that the command does not run.
+IMPORTS_IN_FUNCTIONS = {("cli", "filtrations"), ("cli", "frobenius"), ("cli", "laws"),
+                        ("frobenius", "filtrations")}
+
+
+def _relative_imports(tree: ast.AST, importer: str) -> tuple[set, set]:
+    """The (importer, imported) pairs of the relative imports in ``tree``:
+    all of them, and those made inside a function body."""
+    edges: set[tuple[str, str]] = set()
+    in_functions: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_function = True
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            for name in names:
+                edges.add((importer, name))
+                if in_function:
+                    in_functions.add((importer, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(tree, False)
+    return edges, in_functions
+
+
+def test_the_modules_import_one_way():
+    """No module imports a sibling that imports it back, by any path, and a
+    sibling is imported inside a function only where :data:`IMPORTS_IN_FUNCTIONS`
+    says so."""
+    edges: set[tuple[str, str]] = set()
+    in_functions: set[tuple[str, str]] = set()
+    for path in sorted((SRC / "opercalc").glob("*.py")):
+        found, nested = _relative_imports(ast.parse(path.read_text(), str(path)), path.stem)
+        edges |= found
+        in_functions |= nested
+    assert in_functions == IMPORTS_IN_FUNCTIONS
+    graph: dict[str, set[str]] = {}
+    for importer, imported in edges:
+        graph.setdefault(importer, set()).add(imported)
+    assert ("enumeration", "core") in edges  # the walk reads module-level imports too
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
 class TestLazyExports:
