@@ -39,7 +39,6 @@ _EXPORTS = {
             "profile_score",
             "rearrangement_check",
             "sun_bound",
-            "worst_case_subbundle_slope_bound",
         ),
         "frobenius": (
             "ExpectedDimensions",
@@ -53,10 +52,10 @@ _EXPORTS = {
             "pushforward_numerics",
             "quot_dim_lower_bound",
             "quot_nonempty",
+            "worst_case_subbundle_slope_bound",
         ),
         "opers": (
             "OperShape",
-            "dormant_sum_identity",
             "oper_polygon",
             "oper_quotient_degrees",
             "oper_space_dimensions",

@@ -48,6 +48,7 @@ from .core import (
     _require_at_least,
     strata_poset,
 )
+from . import enumeration
 from .enumeration import _against_oper, enumerate_admissible, iter_admissible, verify_oper_maximality
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
@@ -135,6 +136,12 @@ def emit(
 
 
 def cmd_oper_polygon(args: SimpleNamespace) -> int:
+    # The polygon has rank + 1 breakpoints, held and printed whole: refused past the
+    # listing's row limit, read here so that a test may lower it.
+    limit = enumeration.MAX_POLYGONS
+    if args.rank + 1 > limit:
+        raise ValueError(f"rank {args.rank} oper polygon has {args.rank + 1} breakpoints, "
+                         f"more than MAX_POLYGONS = {limit}; refusing to print them")
     poly = oper_polygon(args.rank, args.genus)
     emit(args.format, poly, ["rank", "degree"], poly.breakpoints)
     return 0
@@ -279,10 +286,12 @@ def cmd_dims(args: SimpleNamespace) -> int:
         import json
 
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 sweep = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from None
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+            raise ValueError(f"config {args.config} is not UTF-8 JSON: {exc}") from None
         if not isinstance(sweep, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         ranks = sweep.get("rank", [] if args.rank is None else [args.rank])

@@ -162,16 +162,6 @@ def sun_bound(profile: FiltrationProfile, curve: CurveParams) -> Fraction:
     return sun_gap_term(profile.parts, curve.g, p)
 
 
-def worst_case_subbundle_slope_bound(
-    Q: BundleNumerics, w: int, curve: CurveParams
-) -> Fraction:
-    """mu(Q)/p + (g-1)(w-1)/p: the slope bound for rank-w subbundles of the
-    pushforward, obtained from the gap formula at the score maximum."""
-    p, g = curve.require_positive_char(), curve.g
-    _require_at_least(1, rank=w)
-    return Fraction(Q.degree + Q.rank * (g - 1) * (w - 1), Q.rank * p)
-
-
 class OperSlopeBound(_Value):
     """What :func:`oper_subbundle_slope_bound` returns: the exact ``bound`` and
     whether it is ``within_semistable_target``."""

@@ -47,6 +47,17 @@ def hirschowitz_bound(n: int, d: int, m: int, g: int) -> tuple[int, Fraction]:
     return eps, Fraction(k, m)
 
 
+def worst_case_subbundle_slope_bound(
+    Q: BundleNumerics, w: int, curve: CurveParams
+) -> Fraction:
+    """mu(Q)/p + (g-1)(w-1)/p: the slope bound for rank-w subbundles of the
+    pushforward, obtained from the gap formula at the score maximum.  The law
+    slope-gap-minimum recovers it by minimizing the gap over every profile."""
+    p, g = curve.require_positive_char(), curve.g
+    _require_at_least(1, rank=w)
+    return Fraction(Q.degree + Q.rank * (g - 1) * (w - 1), Q.rank * p)
+
+
 class QuotProblem(_Value):
     """Rank-r subsheaves of degree 0 inside the pushforward of Q.
 
@@ -150,8 +161,6 @@ class MaxDegreeCertificate(_Value):
 def maxdegree_certificate(
     Q: BundleNumerics, r: int, curve: CurveParams
 ) -> MaxDegreeCertificate:
-    from .filtrations import worst_case_subbundle_slope_bound
-
     p, g = curve.require_positive_char(), curve.g
     q = Q.rank
     failed = []

@@ -56,17 +56,6 @@ def oper_quotient_degrees(shape: OperShape) -> tuple[BundleNumerics, ...]:
     )
 
 
-def dormant_sum_identity(r: int, g: int) -> bool:
-    """Degrees deg(Q) + i(2g-2), i = 0..r-1, with deg(Q) = -(r-1)(g-1) sum to 0.
-
-    An identity, exposed as a checkable law: it sums the graded pieces of
-    :meth:`OperShape.degree_zero_type_one`.
-    """
-    _require_at_least(2, rank=r, genus=g)
-    pieces = oper_quotient_degrees(OperShape.degree_zero_type_one(r, CurveParams(g)))
-    return sum(piece.degree for piece in pieces) == 0
-
-
 def threshold_C(r: int, g: int) -> int:
     """The characteristic threshold r(r-1)(r-2)(g-1)."""
     _require_at_least(2, rank=r, genus=g)

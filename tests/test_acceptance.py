@@ -119,8 +119,8 @@ def test_criterion_5_dimension_identities():
 
 def test_criterion_6_cross_formula_laws():
     ok = _law_passes("frobenius-oper-consistency", 468)
-    # includes dormant_sum_identity for r 2..8, g 2..5
-    ok = ok and _law_passes("oper-dimension-identities", 28)
+    # the quotient-degree ladder builds oper_polygon, which ends at (r, 0), for r 2..8, g 2..5
+    ok = ok and _law_passes("oper-polygon-constructions-coincide", 28)
     _report(6, "pushforward/oper degree consistency", ok)
 
 

@@ -43,6 +43,15 @@ class TestOperPolygonCommand:
         assert code == 2
         assert "error" in err
 
+    def test_refuses_more_breakpoints_than_the_listing_limit(self, capture, monkeypatch):
+        monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)
+        code, out, err = capture("oper-polygon", "--rank", "4", "--genus", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: rank 4 oper polygon has 5 breakpoints, more than "
+                       "MAX_POLYGONS = 4; refusing to print them\n")
+        code, out, _ = capture("oper-polygon", "--rank", "3", "--genus", "2", "--format", "csv")
+        assert (code, out) == (0, "rank,degree\n0,0\n1,2\n2,2\n3,0\n")
+
 
 FORMATS = ("json", "csv", "table")
 
@@ -377,10 +386,13 @@ class TestSweepConfig:
         ({"rank": [3], "genus": [2], "char": [0]}, "'char'"),
         ({"rank": [3], "genus": [2], "char": [1]}, "'char'"),
         ({"rank": [3], "genus": [2], "char": [318_665_857_834_031_151_167_461]}, "'char'"),
+        # the file itself: bytes are written as they are
+        (b"rank = 3\n", "not UTF-8 JSON: Expecting value"),
+        (b"\xff{}", "not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff"),
     ])
     def test_malformed_config_is_usage_error(self, capture, tmp_path, sweep, field):
         config = tmp_path / "sweep.json"
-        config.write_text(json.dumps(sweep))
+        config.write_bytes(sweep if isinstance(sweep, bytes) else json.dumps(sweep).encode())
         code, out, err = capture("dims", "--config", str(config))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -16,7 +16,6 @@ from opercalc import (
     OperShape,
     PosetDescription,
     QuotProblem,
-    dormant_sum_identity,
     enumerate_admissible,
     enumerate_admissible_slow,
     expected_dimensions,
@@ -206,12 +205,6 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
     lambda: verify_target_inequalities(oper_polygon(3, 2), 2.5),
     lambda: key_inequality_check(3.0, [0, 1]),
     lambda: key_inequality_check(3, [0.5, 1]),
-    lambda: dormant_sum_identity(3, 2.5),
-    lambda: dormant_sum_identity("3", 2),
-    lambda: dormant_sum_identity(2.5, 3),
-    # integers, but a genus below 2, which oper_polygon and threshold_C refuse
-    lambda: dormant_sum_identity(3, 1),
-    lambda: dormant_sum_identity(3, 0),
 ], ids=["curve-genus", "curve-char", "bundle-degree", "bundle-rank", "pushforward",
         "value-at-float", "value-at-str", "threshold-genus", "threshold-rank", "dimensions",
         "oper-shape-length", "quot-target-rank", "hirschowitz-degree", "threshold-genus-1",
@@ -219,9 +212,7 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
         "oper-polygon-rank", "enumerate-rank", "slow-oracle-genus", "brute-force-cap",
         "sun-gap-genus", "sun-gap-char", "sun-gap-part", "sun-gap-no-parts",
         "worst-case-rank", "oper-bound-flag-length", "oper-bound-genus",
-        "target-inequalities-genus", "key-inequality-length", "key-inequality-m",
-        "dormant-genus", "dormant-rank-str", "dormant-rank", "dormant-genus-1",
-        "dormant-genus-0"])
+        "target-inequalities-genus", "key-inequality-length", "key-inequality-m"])
 def test_rejects_a_non_integer_input(call):
     with pytest.raises(ValueError):
         call()
@@ -242,7 +233,7 @@ def raised_message(call) -> str:
     (1, 1.5, "genus must be an integer, got 1.5"),
 ])
 @pytest.mark.parametrize("function", [
-    oper_polygon, threshold_C, oper_space_dimensions, dormant_sum_identity,
+    oper_polygon, threshold_C, oper_space_dimensions,
     expected_dimensions, enumerate_admissible, enumerate_admissible_slow,
     verify_oper_maximality, iter_admissible,
 ], ids=lambda function: function.__name__)

@@ -23,9 +23,8 @@ PUBLIC_NAMES = [
     "BundleNumerics", "CurveParams", "ExpectedDimensions",
     "FiltrationProfile", "HNPolygon", "MaxDegreeCertificate", "MaximalityReport",
     "OperShape", "PosetDescription", "QuotCertificate", "QuotProblem", "core",
-    "dormant_sum_identity", "enumerate_admissible",
-    "enumerate_admissible_slow", "enumeration", "expected_dimensions", "filtrations",
-    "frobenius", "frobenius_oper_consistency", "hirschowitz_bound",
+    "enumerate_admissible", "enumerate_admissible_slow", "enumeration",
+    "expected_dimensions", "filtrations", "frobenius", "frobenius_oper_consistency", "hirschowitz_bound",
     "key_inequality_check", "max_score_brute_force", "max_score_closed_form",
     "maxdegree_certificate", "oper_polygon", "oper_quotient_degrees",
     "oper_space_dimensions", "oper_subbundle_slope_bound", "opers",
@@ -143,8 +142,7 @@ class TestImportSet:
 
 # The relative imports made inside a function body, as (importer, imported):
 # each spares some command of the CLI a module that the command does not run.
-IMPORTS_IN_FUNCTIONS = {("cli", "filtrations"), ("cli", "frobenius"), ("cli", "laws"),
-                        ("frobenius", "filtrations")}
+IMPORTS_IN_FUNCTIONS = {("cli", "filtrations"), ("cli", "frobenius"), ("cli", "laws")}
 
 
 def _relative_imports(tree: ast.AST, importer: str) -> tuple[set, set]:

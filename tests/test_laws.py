@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from opercalc import BundleNumerics
 from opercalc.laws import ALL_LAWS, Law, LawResult, _random_triples, random_polygon
+from opercalc.opers import oper_quotient_degrees
 
 # Every law's name, in report order, and the number of cases its grid yields;
 # a grid that loses or gains a case fails here.
@@ -55,6 +57,33 @@ class TestAllLaws:
     def test_grid_size(self, name, size):
         (law,) = [law for law in ALL_LAWS if law.name == name]
         assert sum(1 for _ in law.cases()) == size
+
+
+def _top_raised(shape):
+    *rest, top = oper_quotient_degrees(shape)
+    return (*rest, BundleNumerics(top.rank, top.degree + 1))
+
+
+def _ladder(shape, step, first):
+    q = shape.quotient
+    return tuple(BundleNumerics(q.rank, q.degree + i * q.rank * step)
+                 for i in range(first, first + shape.length))
+
+
+# Wrong quotient-degree ladders that stay strictly increasing, so that the
+# polygon is still built, each with degrees that do not sum to 0.
+WRONG_LADDERS = {
+    "top-degree-plus-1": _top_raised,
+    "step-2g-1": lambda shape: _ladder(shape, 2 * shape.curve.g - 1, 0),
+    "index-from-1": lambda shape: _ladder(shape, 2 * shape.curve.g - 2, 1),
+}
+
+
+@pytest.mark.parametrize("ladder", WRONG_LADDERS.values(), ids=WRONG_LADDERS)
+def test_the_constructions_row_checks_that_the_ladder_sums_to_zero(monkeypatch, ladder):
+    monkeypatch.setattr("opercalc.laws.oper_quotient_degrees", ladder)
+    (law,) = [law for law in ALL_LAWS if law.name == "oper-polygon-constructions-coincide"]
+    assert law().passed is False
 
 
 def digest(polygons):

@@ -6,7 +6,6 @@ from opercalc import (
     BundleNumerics,
     CurveParams,
     OperShape,
-    dormant_sum_identity,
     frobenius_oper_consistency,
     oper_polygon,
     oper_quotient_degrees,
@@ -90,14 +89,6 @@ class TestOperQuotientDegrees:
 
 
 class TestIdentities:
-    @pytest.mark.parametrize("r,g", [(2, 2), (3, 2), (5, 4)])
-    def test_dormant_sum_identity(self, r, g):
-        assert dormant_sum_identity(r, g)
-
-    def test_dormant_sum_identity_grid(self):
-        for r, g in itertools.product(range(2, 9), range(2, 6)):
-            assert dormant_sum_identity(r, g)
-
     @pytest.mark.parametrize(
         "r,g,expected", [(2, 2, 0), (2, 5, 0), (3, 2, 6), (4, 3, 48)]
     )
