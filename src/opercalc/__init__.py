@@ -28,7 +28,6 @@ _EXPORTS = {
             "enumerate_admissible",
             "enumerate_admissible_slow",
             "verify_oper_maximality",
-            "verify_target_inequalities",
         ),
         "filtrations": (
             "FiltrationProfile",

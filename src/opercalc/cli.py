@@ -286,7 +286,7 @@ def cmd_dims(args: SimpleNamespace) -> int:
         import json
 
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:  # skips a byte order mark
                 sweep = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from None

@@ -250,7 +250,10 @@ def _against_oper(
     A polygon is linear between its breakpoints and the oper polygon is
     concave, so the polygon lies under it iff each of its breakpoints
     (x, y) does: y is at most the oper polygon's breakpoint at x, which
-    has one at every integer x.
+    has one at every integer x.  Read at the flag step V_i of rank x and
+    degree y, these are the paper's target inequalities
+    deg(V_i) <= (g-1) rk(V_i) (r - rk(V_i)); the law
+    ``target-inequality-equivalence`` checks both flags against ``shatz_leq``.
     """
     top = oper_polygon(r, g).breakpoints
     ceiling = dict(top)
@@ -283,25 +286,3 @@ def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
         oper_polygon_present=present,
         counterexamples=tuple(counterexamples),
     )
-
-
-def verify_target_inequalities(polygon: HNPolygon, g: int) -> bool:
-    """Check deg(V_i) <= (g-1) rk(V_i) (r - rk(V_i)) for every flag step.
-
-    The rank and degree of V_i, step i of the HN filtration, are breakpoint
-    i of the polygon, so the check reads each interior breakpoint (x, y) as
-    y <= (g-1) x (r-x): the breakpoint lies on or under the oper polygon
-    (i, i(r-i)(g-1)).  Equivalent to dominance by the oper polygon of the same
-    rank, since the polygon is linear between its breakpoints and the oper
-    polygon is concave.
-
-    The paper's formula stays written out here on purpose: this is the
-    independent side of the law ``target-inequality-equivalence``, which
-    would compare a rule with itself if it read :func:`_against_oper`, which
-    builds the oper polygon each call (9 µs against 2 µs at r=4 g=3, 2-CPU host).
-    """
-    _require_at_least(2, genus=g)
-    r, degree = polygon.endpoint
-    if degree != 0:
-        raise ValueError("target inequalities apply to degree-0 polygons")
-    return all(y <= (g - 1) * x * (r - x) for x, y in polygon.breakpoints[1:-1])

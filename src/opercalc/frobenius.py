@@ -40,7 +40,7 @@ def hirschowitz_bound(n: int, d: int, m: int, g: int) -> tuple[int, Fraction]:
     floor((md - m(n-m)(g-1))/n)/m.
     """
     _require_integers(rank=n, degree=d, subbundle_rank=m)
-    _require_at_least(2, genus=g)
+    _require_at_least(2, rank=n, genus=g)
     if not 1 <= m <= n - 1:
         raise ValueError(f"subbundle rank {m} out of range [1, {n - 1}]")
     k, eps = divmod(m * d - m * (n - m) * (g - 1), n)

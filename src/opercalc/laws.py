@@ -18,7 +18,7 @@ from typing import Iterable
 from .core import (
     BundleNumerics, CurveParams, HNPolygon, _Value, polygon_from_quotient_data, shatz_leq,
 )
-from .enumeration import enumerate_admissible, verify_oper_maximality, verify_target_inequalities
+from .enumeration import _against_oper, enumerate_admissible, verify_oper_maximality
 from .filtrations import (
     FiltrationProfile, _partitions, key_inequality_check, max_score_brute_force,
     max_score_closed_form, rearrangement_check, sun_gap_term,
@@ -143,11 +143,13 @@ def _random_profiles() -> Iterable[tuple[FiltrationProfile]]:
         yield (FiltrationProfile(parts, q),)
 
 
-def _target_inequality_cases() -> Iterable[tuple[HNPolygon, int, HNPolygon]]:
+def _target_inequality_cases() -> Iterable[tuple[HNPolygon, bool, bool, HNPolygon]]:
+    # the wider slope gap of genus g + 1 puts some polygons above the genus-g
+    # oper polygon, so each flag of _against_oper is tested at both values
     for r, g in itertools.product(range(2, 5), (2, 3)):
         top = oper_polygon(r, g)
-        for poly in enumerate_admissible(r, g):
-            yield poly, g, top
+        for poly, is_oper, under in _against_oper(enumerate_admissible(r, g + 1), r, g):
+            yield poly, is_oper, under, top
 
 
 def _random_triples() -> Iterable[tuple[HNPolygon, HNPolygon, HNPolygon]]:
@@ -234,7 +236,7 @@ ALL_LAWS: tuple[Law, ...] = (
     Law(
         "target-inequality-equivalence",
         _target_inequality_cases,
-        lambda poly, g, top: verify_target_inequalities(poly, g) == shatz_leq(poly, top),
+        lambda poly, is_oper, under, top: (is_oper, under) == (poly == top, shatz_leq(poly, top)),
     ),
     Law(
         "oper-maximality",

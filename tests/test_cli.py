@@ -369,6 +369,15 @@ class TestSweepConfig:
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 4  # header + one row per combination
 
+    def test_a_byte_order_mark_is_skipped(self, capture, tmp_path):
+        sweep = json.dumps({"rank": [2, 3], "genus": [2, 3], "char": [5, None]}).encode()
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_bytes(sweep)
+        marked.write_bytes(b"\xef\xbb\xbf" + sweep)  # the UTF-8 byte order mark
+        expected = capture("dims", "--config", str(plain))
+        assert expected[0] == 0 and expected[1].count("\n") == 1 + 8
+        assert capture("dims", "--config", str(marked)) == expected
+
     def test_missing_config_is_usage_error(self, capture, tmp_path):
         code, out, err = capture("dims", "--config", str(tmp_path / "absent.json"))
         assert (code, out) == (2, "")

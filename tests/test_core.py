@@ -32,7 +32,6 @@ from opercalc import (
     strata_poset,
     threshold_C,
     verify_oper_maximality,
-    verify_target_inequalities,
     worst_case_subbundle_slope_bound,
 )
 from opercalc import cli
@@ -202,7 +201,6 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
     lambda: worst_case_subbundle_slope_bound(BundleNumerics(1, -1), 2.5, CurveParams(2, 5)),
     lambda: oper_subbundle_slope_bound(FiltrationProfile((1,), 1), BundleNumerics(1, 0), 2.5, 2),
     lambda: oper_subbundle_slope_bound(FiltrationProfile((1,), 1), BundleNumerics(1, 0), 2, 2.5),
-    lambda: verify_target_inequalities(oper_polygon(3, 2), 2.5),
     lambda: key_inequality_check(3.0, [0, 1]),
     lambda: key_inequality_check(3, [0.5, 1]),
 ], ids=["curve-genus", "curve-char", "bundle-degree", "bundle-rank", "pushforward",
@@ -212,7 +210,7 @@ def concave_polygons(rank: int) -> st.SearchStrategy[HNPolygon]:
         "oper-polygon-rank", "enumerate-rank", "slow-oracle-genus", "brute-force-cap",
         "sun-gap-genus", "sun-gap-char", "sun-gap-part", "sun-gap-no-parts",
         "worst-case-rank", "oper-bound-flag-length", "oper-bound-genus",
-        "target-inequalities-genus", "key-inequality-length", "key-inequality-m"])
+        "key-inequality-length", "key-inequality-m"])
 def test_rejects_a_non_integer_input(call):
     with pytest.raises(ValueError):
         call()
@@ -261,13 +259,15 @@ def test_every_rank_genus_function_has_the_same_rule(function, r, g, message):
      "flag_length must be >= 1, got 0"),
     (lambda: hirschowitz_bound(3, 0, 1, 1), "genus must be >= 2, got 1"),
     (lambda: hirschowitz_bound(3, 0.5, 1, 1), "degree must be an integer, got 0.5"),
-    (lambda: verify_target_inequalities(oper_polygon(3, 2), 0), "genus must be >= 2, got 0"),
+    # a bundle rank below 2 leaves no subbundle rank m, and is named as the rank
+    (lambda: hirschowitz_bound(1, 0, 1, 2), "rank must be >= 2, got 1"),
+    (lambda: hirschowitz_bound(-5, 0, 1, 2), "rank must be >= 2, got -5"),
     (lambda: key_inequality_check(1, []), "l must be >= 2, got 1"),
 ], ids=["curve-genus", "curve-char", "bundle-rank", "bundle-degree", "oper-shape-length",
         "type-one-rank", "type-one-rank-float", "profile-cap", "closed-form-weight",
         "brute-force-weight", "brute-force-cap", "brute-force-cap-float", "worst-case-rank",
-        "oper-bound-flag-length", "hirschowitz-genus", "hirschowitz-degree", "target-inequalities-genus",
-        "key-inequality-length"])
+        "oper-bound-flag-length", "hirschowitz-genus", "hirschowitz-degree", "hirschowitz-rank-1",
+        "hirschowitz-rank-negative", "key-inequality-length"])
 def test_names_the_value_below_its_minimum(call, message):
     assert raised_message(call) == message
 

@@ -11,7 +11,7 @@ import pytest
 
 from opercalc import cli, enumeration
 from opercalc.core import _scaled_values
-from opercalc.enumeration import iter_admissible
+from opercalc.enumeration import _against_oper, iter_admissible
 from opercalc.laws import random_polygon
 from opercalc import (
     HNPolygon,
@@ -23,7 +23,6 @@ from opercalc import (
     shatz_leq,
     strata_poset,
     verify_oper_maximality,
-    verify_target_inequalities,
 )
 from test_core import quotient_data
 
@@ -63,8 +62,8 @@ def unpruned_slow_oracle(r, g):
 def target_inequalities_from_quotient_data(polygon, g):
     """deg(V_i) <= (g-1)(n_1+...+n_i)(n_{i+1}+...+n_l) at every flag step,
     with each side summed from the quotient data (n_j, d_j): the paper's form
-    of the target inequalities, an oracle for ``verify_target_inequalities``,
-    which reads V_i from the breakpoints."""
+    of the target inequalities, an oracle for the ``under`` flag of
+    ``_against_oper``, which reads V_i from the breakpoints."""
     qd = quotient_data(polygon)  # slopes increasing: bottom-up order
     return all(
         sum(d for _, d in qd[i:]) <= (g - 1) * sum(n for n, _ in qd[:i]) * sum(n for n, _ in qd[i:])
@@ -323,48 +322,22 @@ class TestVerifyOperMaximality:
 
 
 class TestVerifyTargetInequalities:
-    def test_oper_polygon_attains_equality(self):
-        assert verify_target_inequalities(oper_polygon(3, 2), 2)
-
-    def test_small_polygon(self):
-        assert verify_target_inequalities(HNPolygon(((0, 0), (1, 1), (3, 0))), 2)
-
-    def test_trivial_polygon(self):
-        assert verify_target_inequalities(HNPolygon(((0, 0), (4, 0))), 2)
-
-    @pytest.mark.parametrize("g", [1, 0, -2])
-    def test_rejects_genus_below_two(self, g):
-        # below genus 2 the bound (g-1) n_low n_high is 0 or negative, and
-        # answering False would read as a polygon above the oper polygon
-        with pytest.raises(ValueError, match="genus must be >= 2"):
-            verify_target_inequalities(oper_polygon(3, 2), g)
-
-    def test_rejects_nonzero_total_degree(self):
-        with pytest.raises(ValueError):
-            verify_target_inequalities(HNPolygon(((0, 0), (2, 1))), 2)
-
-    def test_fails_above_oper_polygon(self):
-        too_high = HNPolygon(((0, 0), (1, 2), (2, 0)))  # above (1,1) for g=2
-        assert not verify_target_inequalities(too_high, 2)
-
-    def test_equivalent_to_dominance(self):
-        for r, g in itertools.product(range(2, 6), (2, 3)):
-            top = oper_polygon(r, g)
-            for poly in enumerate_admissible(r, g):
-                assert verify_target_inequalities(poly, g) == shatz_leq(poly, top)
-
     def test_agrees_with_the_quotient_data_form(self):
         # The genus-4 polygons hold those of genus 2 and 3, whose slope gap is
         # narrower.  Each is checked at genera 2 .. 5, so that some fail.
-        cases = [(poly, genus) for r in range(2, 8) for poly in enumerate_admissible(r, 4)
-                 for genus in range(2, 6)]
+        # Cases are grouped by (rank, genus), so each oper polygon is built once.
+        cases = {(r, genus): list(enumerate_admissible(r, 4))
+                 for r in range(2, 8) for genus in range(2, 6)}
         rng = random.Random(20231019)
-        cases += [(random_polygon(rng, rng.randint(2, 9)), rng.randint(2, 5)) for _ in range(2100)]
+        for _ in range(2100):
+            poly = random_polygon(rng, rng.randint(2, 9))
+            cases.setdefault((poly.endpoint[0], rng.randint(2, 5)), []).append(poly)
         outcomes = set()
-        for poly, genus in cases:
-            expected = target_inequalities_from_quotient_data(poly, genus)
-            assert verify_target_inequalities(poly, genus) == expected, (poly, genus)
-            outcomes.add(expected)
+        for (r, genus), polys in cases.items():
+            for poly, _, under in _against_oper(polys, r, genus):
+                expected = target_inequalities_from_quotient_data(poly, genus)
+                assert under == expected, (poly, genus)
+                outcomes.add(expected)
         assert outcomes == {True, False}
 
 

@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
     "polygon_from_quotient_data", "profile_score", "pushforward_numerics",
     "quot_dim_lower_bound", "quot_nonempty", "rearrangement_check",
     "shatz_leq", "strata_poset", "sun_bound", "threshold_C", "verify_oper_maximality",
-    "verify_target_inequalities", "worst_case_subbundle_slope_bound",
+    "worst_case_subbundle_slope_bound",
 ]
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from opercalc import BundleNumerics
+from opercalc.enumeration import _against_oper
 from opercalc.laws import ALL_LAWS, Law, LawResult, _random_triples, random_polygon
 from opercalc.opers import oper_quotient_degrees
 
@@ -22,10 +23,15 @@ LAW_GRID_SIZES = [
     ("slope-gap-minimum", 72),
     ("rearrangement-inequality", 300),
     ("key-inequality", 340),
-    ("target-inequality-equivalence", 85),
+    ("target-inequality-equivalence", 213),
     ("oper-maximality", 6),
     ("shatz-poset-laws", 200),
 ]
+
+
+def law_named(name):
+    (law,) = [law for law in ALL_LAWS if law.name == name]
+    return law
 
 
 class TestLawRunner:
@@ -55,8 +61,7 @@ class TestAllLaws:
 
     @pytest.mark.parametrize("name, size", LAW_GRID_SIZES)
     def test_grid_size(self, name, size):
-        (law,) = [law for law in ALL_LAWS if law.name == name]
-        assert sum(1 for _ in law.cases()) == size
+        assert sum(1 for _ in law_named(name).cases()) == size
 
 
 def _top_raised(shape):
@@ -82,8 +87,36 @@ WRONG_LADDERS = {
 @pytest.mark.parametrize("ladder", WRONG_LADDERS.values(), ids=WRONG_LADDERS)
 def test_the_constructions_row_checks_that_the_ladder_sums_to_zero(monkeypatch, ladder):
     monkeypatch.setattr("opercalc.laws.oper_quotient_degrees", ladder)
-    (law,) = [law for law in ALL_LAWS if law.name == "oper-polygon-constructions-coincide"]
-    assert law().passed is False
+    assert law_named("oper-polygon-constructions-coincide")().passed is False
+
+
+def forcing(flags):
+    """``_against_oper`` with each polygon's (is_oper, under) replaced by ``flags`` of them."""
+    def against_oper(polys, r, g):
+        for poly, is_oper, under in _against_oper(polys, r, g):
+            yield (poly, *flags(is_oper, under))
+    return against_oper
+
+
+# Wrong flags for the row to catch: a rule that answers "under" whatever the
+# polygon, one that never does, and one that mistakes which polygon is the oper polygon.
+FORCED_FLAGS = {
+    "under-always-true": lambda is_oper, under: (is_oper, True),
+    "under-always-false": lambda is_oper, under: (is_oper, False),
+    "is-oper-flipped": lambda is_oper, under: (not is_oper, under),
+}
+
+
+class TestTargetInequalityRow:
+    def test_the_grid_yields_both_values_of_each_flag(self):
+        cases = list(law_named("target-inequality-equivalence").cases())
+        assert {under for _, _, under, _ in cases} == {True, False}
+        assert {is_oper for _, is_oper, _, _ in cases} == {True, False}
+
+    @pytest.mark.parametrize("flags", FORCED_FLAGS.values(), ids=FORCED_FLAGS)
+    def test_fails_when_a_flag_is_forced(self, monkeypatch, flags):
+        monkeypatch.setattr("opercalc.laws._against_oper", forcing(flags))
+        assert law_named("target-inequality-equivalence")().passed is False
 
 
 def digest(polygons):
