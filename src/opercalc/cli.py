@@ -5,18 +5,20 @@ that ``dims --config`` always writes CSV.
 Rationals print as "a/b" in tables and CSV and as {"num", "den"} decimal
 strings in JSON; never as decimals.  Polygons print as their breakpoints:
 ``0,0;1,2;2,2;3,0`` in a cell, ``{"breakpoints": [[0, 0], ...]}`` in JSON.
-Only ``emit``'s two renderers, ``_cell`` and ``_json_default``, know these
-rules.  Exit codes: 0 success, 1 verification failure (counterexample
-found), 2 usage error.
+Only ``emit``'s two renderers, ``_cell`` and ``_json_default``, and the JSON
+listing's text fold, ``_json_listing``, know these rules;
+``test_json_listing_bytes_match_the_slow_oracle`` ties the fold to
+``json.dumps`` with ``_json_default``.  Exit codes: 0 success, 1 verification
+failure (counterexample found), 2 usage error.
 
 Only what ``enumerate`` and ``strata`` run is imported at module level; the
 other subcommands import their modules (frobenius, filtrations, laws) in
 their own bodies, so a process starts up paying only for its command.
 ``enumerate`` and ``strata`` print no rational, so they never load
 ``fractions`` (nor the ``decimal`` and ``numbers`` it imports).  ``json`` is
-imported only where JSON is written (``emit``'s json branch) or read
-(``dims --config``): every table and csv run, ``check-laws`` included, skips
-its ~2 ms of import.
+imported only where an encoder writes JSON (``emit``'s json branch) or reads
+it (``dims --config``): every table and csv run, ``check-laws`` included, and
+the JSON listing, which writes its own text, skip its ~2 ms of import.
 
 ``COMMANDS`` is one constant table of each subcommand's handler, help line
 and options.  ``run`` reads ``argv`` against it by argparse's rules (unique
@@ -28,8 +30,8 @@ and ``locale`` it loads, cost about 9 ms of every process's start-up.
 whole run and freezes every object before it exits, so that finalization
 skips them; ``run`` keeps the collector as its caller set it.  Collecting
 and freeing the ~12 000 objects that start-up and imports made took several
-ms of every exit, and the r=8 g=4 JSON listing spent about 0.3 s of its 1.5 s
-in 1 093 collections that freed nothing.
+ms of every exit, and the r=8 g=4 JSON listing, when it still built its
+polygons, spent about 0.3 s of its 1.5 s in 1 093 collections that freed nothing.
 """
 
 from __future__ import annotations
@@ -89,6 +91,26 @@ def _json_default(value: Any) -> Any:
         return {"num": str(value.numerator), "den": str(value.denominator)}
     except AttributeError:
         raise TypeError(f"{type(value).__name__} is not JSON serializable") from None
+
+
+def _json_listing(r: int, g: int) -> str:
+    """The JSON listing of the admissible polygons of rank ``r`` and genus
+    ``g``: exactly what ``json.dumps(polys, sort_keys=True,
+    default=_json_default)`` writes for ``polys = enumerate_admissible(r, g)``,
+    with no polygon built and no encoder run.
+
+    The search folds each chain's text as it walks: a node appends its
+    ``, [x, y]`` to its parent's text once, for every chain through it, and
+    ``]}`` closes the chain after ``, [r, 0]``.  So each ``[x, y]`` is
+    rendered once per search state and appended once per node of the search
+    tree, and each polygon costs two string concatenations.  Refused past
+    :data:`~opercalc.enumeration.MAX_POLYGONS` before a byte is written, like
+    the listing it equals.
+    """
+    texts = enumeration._listed(enumeration._chains(
+        r, g, '{"breakpoints": [[0, 0]', lambda x, y: f", [{x}, {y}]",
+        lambda text: text + "]}"), r, g)
+    return f"[{', '.join(texts)}]"
 
 
 def emit(
@@ -234,10 +256,12 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
         }
         emit(args.format, record, list(record)[2:])  # csv and table omit rank, genus
         return 0 if report.passed else VERIFICATION_FAILURE
+    if args.format == "json":
+        print(_json_listing(args.rank, args.genus))
+        return 0
     polys = enumerate_admissible(args.rank, args.genus)
-    # Read only when csv or table output reads the rows, not for json.
     rows = _against_oper(polys, args.rank, args.genus)
-    emit(args.format, polys, ["breakpoints", "is_oper", "dominated_by_oper"], rows)
+    emit(args.format, None, ["breakpoints", "is_oper", "dominated_by_oper"], rows)
     return 0
 
 

@@ -13,14 +13,17 @@ count that grows with r and g), ``strata_poset`` after ``STRATA_MAX_ELEMENTS`` +
 from __future__ import annotations
 
 from itertools import combinations, islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .core import HNPolygon, _require_at_least, _Value, polygon_from_quotient_data
 from .opers import oper_polygon
 
+_Acc = TypeVar("_Acc")  # a chain's fold: a tuple or a string
+_Item = TypeVar("_Item")  # what it yields per chain
+
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
-# lists in about 1.5 s and peaks at about 107 MB as JSON (109 MB on Python 3.11.7,
-# 105 MB on 3.10.13), which CI holds under 160 MB.
+# lists as JSON in about 0.3 s and peaks at 87 MB, which CI holds under 120 MB,
+# and as csv in about 1.5 s and 148 MB (2-CPU host, Python 3.11.7).
 MAX_POLYGONS = 250_000
 
 
@@ -69,33 +72,44 @@ def _steps(
     return tuple(steps), y2_lo <= 0 <= y2_hi
 
 
-def _complete(r: int, g: int) -> Iterator[HNPolygon]:
-    """Yield each breakpoint chain from (0, 0) to (r, 0) that :func:`_steps`
-    allows past the origin, whose steps are in closed form.
+def _complete(r: int, g: int, start: _Acc, piece: Callable[[int, int], _Acc],
+              close: Callable[[_Acc], _Item]) -> Iterator[_Item]:
+    """Fold each breakpoint chain from (0, 0) to (r, 0) that :func:`_steps`
+    allows past the origin, whose steps are in closed form, and yield
+    ``close`` of each fold.
 
-    Chains are yielded in increasing lexicographic order of their
+    A chain's fold is ``start`` followed by ``piece(x, y)`` of each later
+    breakpoint (x, y), joined by ``+``: tuples or strings.  A node of the
+    search tree holds the fold of the chain up to it and extends its parent's
+    fold by one concatenation, so every chain through a node shares the
+    node's fold.  ``piece`` is called once per search state, when the state's
+    steps are computed, and (r, 0)'s piece once per walk.
+
+    Chains are folded in increasing lexicographic order of their
     breakpoints, each once: at each breakpoint, the steps in increasing
     ``x2`` and then ``y2``, and (r, 0) last.
 
-    Each chain is a valid :class:`HNPolygon` by construction, so it is built
-    without the constructor's checks: it starts at (0, 0) and ends at (r, 0)
-    with r >= 2 (two points at least); ``x2 > x`` raises the rank at every
-    step; ``y2 <= y2_hi = ceil(y + prev*dx) - 1`` puts each slope strictly
-    below the one before; and every coordinate is an int computed from ints.
-    The steps out of a breakpoint depend only on x, y and the ratio
-    rise/run of ``prev``, so one table per ``(x, y, rise, run)``, computed at
-    its first visit and reused for the length of the walk, is exact.  The
-    tables hold ranges, not children, so the walk stays lazy.
+    Each chain is a valid :class:`HNPolygon` by construction, so it may be
+    built without the constructor's checks: it starts at (0, 0) and ends at
+    (r, 0) with r >= 2 (two points at least); ``x2 > x`` raises the rank at
+    every step; ``y2 <= y2_hi = ceil(y + prev*dx) - 1`` puts each slope
+    strictly below the one before; and every coordinate is an int computed
+    from ints.  The steps out of a breakpoint depend only on x, y and the
+    ratio rise/run of ``prev``, so one table per ``(x, y, rise, run)``,
+    computed at its first visit and reused for the length of the walk, is
+    exact.  The tables hold ranges, not children, so the walk stays lazy.
     """
     # tables[x, y, x2][y2] is the table of breakpoint (x2, y2) reached from
     # (x, y): the state (x2, y2, y2 - y, x2 - x), keyed so that the walk
-    # builds no tuple for a key as it reads the ys of a step.
-    tables: dict[tuple[int, int, int], dict[int, tuple[tuple[tuple[int, range], ...], bool]]] = {}
-    end = ((r, 0),)
+    # builds no tuple for a key as it reads the ys of a step.  A table holds
+    # the state's steps, whether (r, 0) closes it, and its piece.
+    tables: dict[tuple[int, int, int],
+                 dict[int, tuple[tuple[tuple[int, range], ...], bool, _Acc]]] = {}
     gap = 2 * g - 2
+    last = piece(r, 0)
 
     def walk(x: int, y: int, steps: tuple[tuple[int, range], ...],
-             pts: tuple[tuple[int, int], ...]) -> Iterator[HNPolygon]:
+             acc: _Acc) -> Iterator[_Item]:
         for x2, ys in steps:
             reached = tables.get((x, y, x2))
             if reached is None:
@@ -103,13 +117,14 @@ def _complete(r: int, g: int) -> Iterator[HNPolygon]:
             for y2 in ys:
                 table = reached.get(y2)
                 if table is None:
-                    table = reached[y2] = _steps(r, g, x2, y2, (y2 - y, x2 - x))
-                below, closes = table
-                here = pts + ((x2, y2),)
+                    table = reached[y2] = (*_steps(r, g, x2, y2, (y2 - y, x2 - x)),
+                                           piece(x2, y2))
+                below, closes, tip = table
+                here = acc + tip
                 if below:  # no generator for a breakpoint that only closes
                     yield from walk(x2, y2, below, here)
                 if closes:
-                    yield HNPolygon._from_search(here + end)
+                    yield close(here + last)
 
     # The origin's steps are the chord bounds of _steps at y = 0, where no
     # slope precedes the first: lo = 1 and hi = gap*x2*(r-x2)^2 // r.  Each
@@ -118,17 +133,18 @@ def _complete(r: int, g: int) -> Iterator[HNPolygon]:
     # segment, so the semistable polygon comes last.
     origin = tuple((x2, range(1, gap * x2 * (r - x2) ** 2 // r + 1)) for x2 in range(1, r))
     try:
-        yield from walk(0, 0, origin, ((0, 0),))
+        yield from walk(0, 0, origin, start)
     finally:
         # walk reaches itself through its closure, a cycle that would keep
         # the tables until the cyclic collector ran; breaking it frees them
         # as soon as the walk ends or is closed.
         del walk
-    yield HNPolygon._from_search(((0, 0),) + end)
+    yield close(start + last)
 
 
-def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
-    """Each admissible degree-0 rank-r polygon in canonical order; checks r, g when called."""
+def _chains(r: int, g: int, start: _Acc, piece: Callable[[int, int], _Acc],
+            close: Callable[[_Acc], _Item]) -> Iterator[_Item]:
+    """:func:`_complete` over the admissible chains; checks r, g when called."""
     _require_at_least(2, rank=r, genus=g)
     # Unit segments with integer slopes s_i = -s_{r+1-i}, falling by 1 or 2
     # at each step, make at least 2^(r//2 - 1) admissible polygons.  Once that
@@ -136,15 +152,25 @@ def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
     # over r abscissae: it would not finish at ranks in the thousands.
     if r // 2 - 1 >= MAX_POLYGONS.bit_length():
         raise _too_many(r, g)
-    return _complete(r, g)
+    return _complete(r, g, start, piece, close)
+
+
+def _listed(items: Iterable[_Item], r: int, g: int) -> tuple[_Item, ...]:
+    """The first :data:`MAX_POLYGONS` of ``items``; ValueError if there are more."""
+    listed = tuple(islice(items, MAX_POLYGONS + 1))
+    if len(listed) > MAX_POLYGONS:
+        raise _too_many(r, g)
+    return listed
+
+
+def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
+    """Each admissible degree-0 rank-r polygon in canonical order; checks r, g when called."""
+    return _chains(r, g, ((0, 0),), lambda x, y: ((x, y),), HNPolygon._from_search)
 
 
 def enumerate_admissible(r: int, g: int) -> tuple[HNPolygon, ...]:
     """:func:`iter_admissible` as a tuple; ValueError past :data:`MAX_POLYGONS`."""
-    polys = tuple(islice(iter_admissible(r, g), MAX_POLYGONS + 1))
-    if len(polys) > MAX_POLYGONS:
-        raise _too_many(r, g)
-    return polys
+    return _listed(iter_admissible(r, g), r, g)
 
 
 def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:

@@ -277,14 +277,28 @@ class TestEnumerateCommand:
         polys = tuple(HNPolygon(obj["breakpoints"]) for obj in json.loads(out))
         assert polys == enumerate_admissible(3, 2)
 
-    @pytest.mark.parametrize("r, g", itertools.product(range(2, 7), (2, 3)))
+    @pytest.mark.parametrize("r, g", itertools.product(range(2, 9), (2, 3)))
     def test_json_listing_bytes_match_the_slow_oracle(self, capture, r, g):
-        listing = [{"breakpoints": [[x, y] for x, y in p.breakpoints]}
-                   for p in enumerate_admissible_slow(r, g)]
+        # The listing's text fold against the encoder on the search's polygons
+        # at every pair, and against the independent oracle where it runs fast.
         code, out, _ = capture(
             "enumerate", "--rank", str(r), "--genus", str(g), "--format", "json"
         )
-        assert (code, out) == (0, json.dumps(listing, sort_keys=True) + "\n")
+        encoded = json.dumps(enumerate_admissible(r, g), sort_keys=True, default=_json_default)
+        assert (code, out) == (0, encoded + "\n")
+        if r <= 6:
+            listing = [{"breakpoints": [[x, y] for x, y in p.breakpoints]}
+                       for p in enumerate_admissible_slow(r, g)]
+            assert out == json.dumps(listing, sort_keys=True) + "\n"
+
+    def test_json_listing_builds_no_polygon(self, capture, monkeypatch):
+        def built(*args):
+            raise AssertionError("built a polygon")
+
+        monkeypatch.setattr(HNPolygon, "__init__", built)
+        monkeypatch.setattr(HNPolygon, "_from_search", classmethod(built))
+        code, out, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "json")
+        assert code == 0 and out.count('{"breakpoints": ') == 13
 
     def test_csv_flags_the_oper_polygon(self, capture):
         code, out, _ = capture(
@@ -341,7 +355,8 @@ class TestEnumerateCommand:
         assert code == 0
         assert len(json.loads(out)["elements"]) == 5
 
-    @pytest.mark.parametrize("extra", [("enumerate",), ("enumerate", "--verify")])
+    @pytest.mark.parametrize("extra", [("enumerate",), ("enumerate", "--verify"),
+                                       ("enumerate", "--format", "json")])
     def test_refuses_past_the_polygon_limit(self, capture, monkeypatch, extra):
         monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)
         code, out, err = capture(*extra, "--rank", "3", "--genus", "2")

@@ -80,9 +80,10 @@ class TestImportSet:
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--format', 'csv'])"
          " == 0", []),
+        # the JSON listing writes its text along the search, with no encoder
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', '3', '--genus', '2', '--format', 'json'])"
-         " == 0", JSON_MODULES),
+         " == 0", []),
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', '3', '--genus', '2']) == 0", []),
         ("from opercalc import cli\n"
