@@ -51,7 +51,7 @@ from .core import (
     strata_poset,
 )
 from . import enumeration
-from .enumeration import _against_oper, enumerate_admissible, iter_admissible, verify_oper_maximality
+from .enumeration import _against_oper, iter_admissible, verify_oper_maximality
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
@@ -96,20 +96,19 @@ def _json_default(value: Any) -> Any:
 def _json_listing(r: int, g: int) -> str:
     """The JSON listing of the admissible polygons of rank ``r`` and genus
     ``g``: exactly what ``json.dumps(polys, sort_keys=True,
-    default=_json_default)`` writes for ``polys = enumerate_admissible(r, g)``,
+    default=_json_default)`` writes for ``polys = tuple(iter_admissible(r, g))``,
     with no polygon built and no encoder run.
 
     The search folds each chain's text as it walks: a node appends its
     ``, [x, y]`` to its parent's text once, for every chain through it, and
     ``]}`` closes the chain after ``, [r, 0]``.  So each ``[x, y]`` is
     rendered once per search state and appended once per node of the search
-    tree, and each polygon costs two string concatenations.  Refused past
-    :data:`~opercalc.enumeration.MAX_POLYGONS` before a byte is written, like
-    the listing it equals.
+    tree, and each polygon costs two string concatenations.  The search
+    refuses the :data:`~opercalc.enumeration.MAX_POLYGONS` + 1st chain, as it
+    does for ``iter_admissible``, before the text is returned.
     """
-    texts = enumeration._listed(enumeration._chains(
-        r, g, '{"breakpoints": [[0, 0]', lambda x, y: f", [{x}, {y}]",
-        lambda text: text + "]}"), r, g)
+    texts = enumeration._chains(r, g, '{"breakpoints": [[0, 0]',
+                                lambda x, y: f", [{x}, {y}]", lambda text: text + "]}")
     return f"[{', '.join(texts)}]"
 
 
@@ -259,8 +258,7 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     if args.format == "json":
         print(_json_listing(args.rank, args.genus))
         return 0
-    polys = enumerate_admissible(args.rank, args.genus)
-    rows = _against_oper(polys, args.rank, args.genus)
+    rows = _against_oper(iter_admissible(args.rank, args.genus), args.rank, args.genus)
     emit(args.format, None, ["breakpoints", "is_oper", "dominated_by_oper"], rows)
     return 0
 

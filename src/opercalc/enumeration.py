@@ -5,14 +5,14 @@ A degree-0 rank-r polygon is admissible when successive quotient slopes
 differ by at most 2g-2 (the slope-gap constraint for semistable local
 systems).  Admissible polygons of fixed rank form a finite set; the gap
 constraint together with degree 0 bounds every slope by (l-1)(2g-2) in
-absolute value, which truncates the search.  :func:`iter_admissible` has no
-limit; listings and checks stop after :data:`MAX_POLYGONS` + 1 polygons (a
-count that grows with r and g), ``strata_poset`` after ``STRATA_MAX_ELEMENTS`` + 1.
+absolute value, which truncates the search.  The search refuses the
+:data:`MAX_POLYGONS` + 1st polygon (a count that grows with r and g), so every listing
+and check stops there; ``strata_poset`` at its own, smaller ``STRATA_MAX_ELEMENTS`` + 1.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .core import HNPolygon, _require_at_least, _Value, polygon_from_quotient_data
@@ -21,9 +21,9 @@ from .opers import oper_polygon
 _Acc = TypeVar("_Acc")  # a chain's fold: a tuple or a string
 _Item = TypeVar("_Item")  # what it yields per chain
 
-# r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it
-# lists as JSON in about 0.3 s and peaks at 87 MB, which CI holds under 120 MB,
-# and as csv in about 1.5 s and 148 MB (2-CPU host, Python 3.11.7).
+# r=8 g=4, the largest listing measured to finish, has 238 211 polygons: as JSON
+# it lists in about 0.3 s and peaks at 75 MB, as csv in 1.5 s and 113 MB; CI holds
+# them under 120 and 140 MB (2-CPU host, Python 3.11.7).
 MAX_POLYGONS = 250_000
 
 
@@ -144,7 +144,8 @@ def _complete(r: int, g: int, start: _Acc, piece: Callable[[int, int], _Acc],
 
 def _chains(r: int, g: int, start: _Acc, piece: Callable[[int, int], _Acc],
             close: Callable[[_Acc], _Item]) -> Iterator[_Item]:
-    """:func:`_complete` over the admissible chains; checks r, g when called."""
+    """:func:`_complete` over the admissible chains; checks r, g when called, and
+    raises ValueError in place of a :data:`MAX_POLYGONS` + 1st chain."""
     _require_at_least(2, rank=r, genus=g)
     # Unit segments with integer slopes s_i = -s_{r+1-i}, falling by 1 or 2
     # at each step, make at least 2^(r//2 - 1) admissible polygons.  Once that
@@ -152,25 +153,26 @@ def _chains(r: int, g: int, start: _Acc, piece: Callable[[int, int], _Acc],
     # over r abscissae: it would not finish at ranks in the thousands.
     if r // 2 - 1 >= MAX_POLYGONS.bit_length():
         raise _too_many(r, g)
-    return _complete(r, g, start, piece, close)
+    walk = _complete(r, g, start, piece, close)
+    # islice and chain are C iterators, so the limit adds no Python frame per chain.
+    return chain(islice(walk, MAX_POLYGONS), _refused(walk, r, g))
 
 
-def _listed(items: Iterable[_Item], r: int, g: int) -> tuple[_Item, ...]:
-    """The first :data:`MAX_POLYGONS` of ``items``; ValueError if there are more."""
-    listed = tuple(islice(items, MAX_POLYGONS + 1))
-    if len(listed) > MAX_POLYGONS:
+def _refused(walk: Iterator[_Item], r: int, g: int) -> Iterator[_Item]:
+    """Yields nothing; raises :func:`_too_many` if ``walk`` yields once more."""
+    for _ in walk:
         raise _too_many(r, g)
-    return listed
+    yield from ()
 
 
 def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
-    """Each admissible degree-0 rank-r polygon in canonical order; checks r, g when called."""
+    """Each admissible degree-0 rank-r polygon in canonical order, as :func:`_chains` limits it."""
     return _chains(r, g, ((0, 0),), lambda x, y: ((x, y),), HNPolygon._from_search)
 
 
 def enumerate_admissible(r: int, g: int) -> tuple[HNPolygon, ...]:
-    """:func:`iter_admissible` as a tuple; ValueError past :data:`MAX_POLYGONS`."""
-    return _listed(iter_admissible(r, g), r, g)
+    """:func:`iter_admissible` as a tuple."""
+    return tuple(iter_admissible(r, g))
 
 
 def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
@@ -300,8 +302,6 @@ def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
     polys = iter_admissible(r, g)  # checks r and g before oper_polygon builds
     count, present, counterexamples = 0, False, []
     for count, (p, is_oper, under) in enumerate(_against_oper(polys, r, g), 1):
-        if count > MAX_POLYGONS:
-            raise _too_many(r, g)
         present = present or is_oper
         if not under:
             counterexamples.append(p)

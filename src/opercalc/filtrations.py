@@ -187,20 +187,27 @@ def oper_subbundle_slope_bound(
 
 
 def rearrangement_check(profile: FiltrationProfile) -> bool:
-    """sum over i <= m/2 of (m - 2i)(r_i - r_{m-i}) is >= 0.
+    """sum over i <= m/2 of (m - 2i)(r_i - r_{m-i}) is >= 0, and equals
+    m w - 2 :func:`profile_score`, where w is the weight.
 
-    Always true for weakly decreasing profiles; exposed as a law.
+    The identity holds for any parts: pairing i with m - i in
+    sum over all i of (m - 2i) r_i = m w - 2 sum(i r_i) gives the sum above,
+    whose middle term for even m is 0.  The inequality is always true for
+    weakly decreasing profiles; exposed as a law.
     """
     m, r = profile.m, profile.parts
     total = sum((m - 2 * i) * (r[i] - r[m - i]) for i in range(m // 2 + 1))
-    return total >= 0
+    return total >= 0 and total == m * profile.weight - 2 * profile_score(profile)
 
 
 def key_inequality_check(l: int, m_values: Sequence[int]) -> bool:
     """2(m_{l-1} + 2 m_{l-2} + ... + (l-1) m_1) <= (2l-1)(m_1 + ... + m_{l-1}).
 
     Coefficient j pairs with m_{l-j}, following the displayed formula
-    literally.  Always true for nonnegative m_i; exposed as a law.
+    literally.  The slack is sum over j of (2l-1-2j) m_{l-j}, that is
+    (2i-1) m_i summed over i = 1 .. l-1: every coefficient is >= 1, so the
+    inequality holds for nonnegative m_i, with equality exactly when all are
+    0.  True when the slack equals that sum; exposed as a law.
     """
     _require_at_least(2, l=l)
     m_values = _integer_tuple("m values", m_values)
@@ -210,4 +217,4 @@ def key_inequality_check(l: int, m_values: Sequence[int]) -> bool:
         raise ValueError("m values must be nonnegative")
     lhs = 2 * sum(j * m_values[l - j - 1] for j in range(1, l))
     rhs = (2 * l - 1) * sum(m_values)
-    return lhs <= rhs
+    return rhs - lhs == sum((2 * i + 1) * m for i, m in enumerate(m_values))

@@ -6,12 +6,13 @@ import json
 import re
 import shlex
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from opercalc import HNPolygon, enumerate_admissible, enumerate_admissible_slow, enumeration
+from opercalc import HNPolygon, cli, enumerate_admissible, enumerate_admissible_slow, enumeration
 from opercalc.cli import _cell, _json_default, main, run
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
@@ -312,6 +313,24 @@ class TestEnumerateCommand:
         assert {row[1] for row in rows} == {"true", "false"}
         assert all(row[2] == "true" for row in rows)
 
+    def test_csv_listing_holds_no_polygon_list(self, capture, monkeypatch):
+        # What the listing holds when emit starts to render its rows: a tuple
+        # of the 5767 polygons at rank 7 genus 3 holds about 1 MB there.
+        emit, held = cli.emit, []
+
+        def entered(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return emit(*args)
+
+        monkeypatch.setattr(cli, "emit", entered)
+        tracemalloc.start()
+        try:
+            code, out, _ = capture("enumerate", "--rank", "7", "--genus", "3", "--format", "csv")
+        finally:
+            tracemalloc.stop()
+        assert (code, out.count("\n")) == (0, 1 + 5767)
+        assert held[0] < 100_000
+
     def test_deterministic_output(self, capture):
         _, first, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "csv")
         _, second, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "csv")
@@ -349,13 +368,19 @@ class TestEnumerateCommand:
         assert "5 polygons, above the limit of 4" in err
         assert len(yielded) == 5  # of the 237 at rank 5 genus 3
 
-    def test_strata_is_not_bound_by_the_polygon_limit(self, capture, monkeypatch):
-        monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)
-        code, out, _ = capture("strata", "--rank", "3", "--genus", "2", "--format", "json")
-        assert code == 0
-        assert len(json.loads(out)["elements"]) == 5
+    @pytest.mark.parametrize("limit, message", [
+        ("opercalc.enumeration.MAX_POLYGONS", "more than MAX_POLYGONS = 4"),
+        ("opercalc.core.STRATA_MAX_ELEMENTS", "5 polygons, above the limit of 4"),
+    ])
+    def test_strata_refuses_at_the_smaller_limit(self, capture, monkeypatch, limit, message):
+        # rank 3 genus 2 has 5 polygons: either limit, lowered to 4, refuses them
+        monkeypatch.setattr(limit, 4)
+        code, out, err = capture("strata", "--rank", "3", "--genus", "2", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("extra", [("enumerate",), ("enumerate", "--verify"),
+                                       ("enumerate", "--format", "csv"),
                                        ("enumerate", "--format", "json")])
     def test_refuses_past_the_polygon_limit(self, capture, monkeypatch, extra):
         monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)

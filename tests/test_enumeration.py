@@ -132,6 +132,18 @@ class TestEnumerateAdmissible:
         with pytest.raises(ValueError, match="rank 3 genus 2 .*MAX_POLYGONS = 4"):
             enumerate_admissible(3, 2)
 
+    def test_iter_admissible_refuses_in_place_of_one_polygon_more(self, monkeypatch):
+        listed = enumerate_admissible_slow(3, 2)  # its 5 polygons
+        monkeypatch.setattr(enumeration, "MAX_POLYGONS", 5)
+        polys = iter_admissible(3, 2)
+        assert tuple(itertools.islice(polys, 5)) == listed
+        assert next(polys, None) is None
+        monkeypatch.setattr(enumeration, "MAX_POLYGONS", 4)
+        polys = iter_admissible(3, 2)
+        assert tuple(itertools.islice(polys, 4)) == listed[:4]
+        with pytest.raises(ValueError, match="rank 3 genus 2 .*MAX_POLYGONS = 4"):
+            next(polys)
+
     def test_counts_at_ranks_nine_and_ten(self):
         # the slow oracle takes about 0.1 s at r=9 and 0.4 s at r=10, where
         # the count agrees with it too

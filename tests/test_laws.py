@@ -1,10 +1,12 @@
 import hashlib
+import inspect
 import random
 
 import pytest
 
 from opercalc import BundleNumerics
 from opercalc.enumeration import _against_oper
+from opercalc.filtrations import key_inequality_check, rearrangement_check
 from opercalc.laws import ALL_LAWS, Law, LawResult, _random_triples, random_polygon
 from opercalc.opers import oper_quotient_degrees
 
@@ -117,6 +119,36 @@ class TestTargetInequalityRow:
     def test_fails_when_a_flag_is_forced(self, monkeypatch, flags):
         monkeypatch.setattr("opercalc.laws._against_oper", forcing(flags))
         assert law_named("target-inequality-equivalence")().passed is False
+
+
+def mutant(function, old, new):
+    """``function`` with the one ``old`` in its source replaced by ``new``,
+    compiled among its module's names."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
+
+
+# Mutants of the two "always true" predicates that pass their inequality on
+# the law's whole grid, each caught by the identity the predicate requires.
+PREDICATE_MUTANTS = {
+    "key-rhs-2l-2": ("key-inequality", key_inequality_check,
+                     "(2 * l - 1) * sum", "(2 * l - 2) * sum"),
+    "key-lhs-index-shifted": ("key-inequality", key_inequality_check,
+                              "m_values[l - j - 1]", "m_values[l - j - 2]"),
+    "rearrangement-short-sum": ("rearrangement-inequality", rearrangement_check,
+                                "range(m // 2 + 1)", "range(m // 2)"),
+}
+
+
+@pytest.mark.parametrize("name, function, old, new", PREDICATE_MUTANTS.values(),
+                         ids=PREDICATE_MUTANTS)
+def test_a_predicate_mutant_fails_its_law(name, function, old, new):
+    law = law_named(name)
+    assert law.holds is function and law().passed
+    assert Law(name, law.cases, mutant(function, old, new))().passed is False
 
 
 def digest(polygons):
