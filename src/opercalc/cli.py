@@ -5,11 +5,10 @@ that ``dims --config`` always writes CSV.
 Rationals print as "a/b" in tables and CSV and as {"num", "den"} decimal
 strings in JSON; never as decimals.  Polygons print as their breakpoints:
 ``0,0;1,2;2,2;3,0`` in a cell, ``{"breakpoints": [[0, 0], ...]}`` in JSON.
-Only ``emit``'s two renderers, ``_cell`` and ``_json_default``, and the JSON
-listing's text fold, ``_json_listing``, know these rules;
-``test_json_listing_bytes_match_the_slow_oracle`` ties the fold to
-``json.dumps`` with ``_json_default``.  Exit codes: 0 success, 1 verification
-failure (counterexample found), 2 usage error.
+Only ``emit``'s two renderers, ``_cell`` and ``_json_default``, and the
+listings' text folds in ``_json_listing`` and ``cmd_enumerate`` know these
+rules; Tier-1 tests tie the folds to ``json.dumps`` and to ``_cell``.  Exit
+codes: 0 success, 1 verification failure (counterexample found), 2 usage error.
 
 Only what ``enumerate`` and ``strata`` run is imported at module level; the
 other subcommands import their modules (frobenius, filtrations, laws) in
@@ -51,7 +50,7 @@ from .core import (
     strata_poset,
 )
 from . import enumeration
-from .enumeration import _against_oper, iter_admissible, verify_oper_maximality
+from .enumeration import iter_admissible, verify_oper_maximality
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
@@ -76,7 +75,7 @@ def _cell(value: Any) -> str:
     if isinstance(value, HNPolygon):
         return ";".join(f"{x},{y}" for x, y in value.breakpoints)
     if isinstance(value, bool):
-        return str(value).lower()
+        return "true" if value else "false"  # constants: no new string per cell
     if value is None:
         return "-"
     return str(value)
@@ -251,14 +250,18 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
             "all_dominated": report.all_dominated,
             "oper_polygon_present": report.oper_polygon_present,
             "unique_maximum": report.unique_maximum,
-            "passed": report.passed,
+            "passed": report.unique_maximum,
         }
         emit(args.format, record, list(record)[2:])  # csv and table omit rank, genus
-        return 0 if report.passed else VERIFICATION_FAILURE
+        return 0 if report.unique_maximum else VERIFICATION_FAILURE
     if args.format == "json":
         print(_json_listing(args.rank, args.genus))
         return 0
-    rows = _against_oper(iter_admissible(args.rank, args.genus), args.rank, args.genus)
+    r, g = args.rank, args.genus
+    # each chain's breakpoints cell, as _cell writes it, folded along the search,
+    # with the two flags read from its mark in a second walk, in step
+    cells = enumeration._chains(r, g, "0,0", lambda x, y: f";{x},{y}", str)
+    rows = ((c, m == r + 1, m <= r + 1) for c, m in zip(cells, enumeration._marks(r, g, g)))
     emit(args.format, None, ["breakpoints", "is_oper", "dominated_by_oper"], rows)
     return 0
 

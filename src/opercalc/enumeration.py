@@ -12,8 +12,9 @@ and check stops there; ``strata_poset`` at its own, smaller ``STRATA_MAX_ELEMENT
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, combinations, islice
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .core import HNPolygon, _require_at_least, _Value, polygon_from_quotient_data
 from .opers import oper_polygon
@@ -22,8 +23,8 @@ _Acc = TypeVar("_Acc")  # a chain's fold: a tuple or a string
 _Item = TypeVar("_Item")  # what it yields per chain
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: as JSON
-# it lists in about 0.3 s and peaks at 75 MB, as csv in 1.5 s and 113 MB; CI holds
-# them under 120 and 140 MB (2-CPU host, Python 3.11.7).
+# it lists in about 0.3 s and peaks at 75 MB, as csv in 0.9 s and 84 MB, as a table
+# in 1.3 s and 66 MB; CI holds them under 120, 100 and 80 MB (2-CPU host, Python 3.11.7).
 MAX_POLYGONS = 250_000
 
 
@@ -263,52 +264,36 @@ class MaximalityReport(_Value):
         """
         return self.all_dominated and self.oper_polygon_present
 
-    @property
-    def passed(self) -> bool:
-        return self.unique_maximum
 
+def _marks(r: int, g: int, ceiling: int) -> Iterator[int]:
+    """The mark of each admissible chain of rank r and genus g against the
+    genus-``ceiling`` oper polygon, in :func:`_chains` order: 1, plus for each
+    breakpoint (x, y) past the origin 1 if y is the oper polygon's value at x,
+    r + 2 if above and 0 if below.  A chain has at most r such breakpoints and
+    the oper polygon one at every integer x, so the mark is r + 1 iff the
+    chain is the oper polygon, and more iff some breakpoint lies above.
 
-def _against_oper(
-    polys: Iterable[HNPolygon], r: int, g: int
-) -> Iterator[tuple[HNPolygon, bool, bool]]:
-    """Each polygon with whether it is the oper polygon and whether it lies
-    under it: the one test of :func:`verify_oper_maximality` and of the
-    ``enumerate`` listing, with the oper polygon built once.
-
-    A polygon is linear between its breakpoints and the oper polygon is
-    concave, so the polygon lies under it iff each of its breakpoints
-    (x, y) does: y is at most the oper polygon's breakpoint at x, which
-    has one at every integer x.  Read at the flag step V_i of rank x and
-    degree y, these are the paper's target inequalities
-    deg(V_i) <= (g-1) rk(V_i) (r - rk(V_i)); the law
-    ``target-inequality-equivalence`` checks both flags against ``shatz_leq``.
+    A chain is linear between its breakpoints and the oper polygon is concave,
+    so the chain lies under it iff each breakpoint does: iff its mark is at
+    most r + 1.  Read at the flag step V_i of rank x and degree y, these are
+    the paper's target inequalities deg(V_i) <= (g-1) rk(V_i) (r - rk(V_i));
+    the law ``target-inequality-equivalence`` checks both readings against
+    ``shatz_leq``.
     """
-    top = oper_polygon(r, g).breakpoints
-    ceiling = dict(top)
-    for p in polys:
-        pts = p.breakpoints
-        for x, y in pts:  # a loop: all() over a generator took twice as long
-            if y > ceiling[x]:
-                under = False
-                break
-        else:
-            under = True
-        yield p, pts == top, under
+    marks = _chains(r, g, 1, lambda x, y: (y >= top[x]) + (y > top[x]) * (r + 1), int)
+    # built after _chains has checked r, g and the rank limit, before the walk reads it
+    top = dict(oper_polygon(r, ceiling).breakpoints)
+    return marks
 
 
 def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
     """Check that the oper polygon dominates every admissible polygon and is
-    itself admissible, hence the unique admissible maximum, holding no list."""
-    polys = iter_admissible(r, g)  # checks r and g before oper_polygon builds
-    count, present, counterexamples = 0, False, []
-    for count, (p, is_oper, under) in enumerate(_against_oper(polys, r, g), 1):
-        present = present or is_oper
-        if not under:
-            counterexamples.append(p)
-    return MaximalityReport(
-        r=r,
-        g=g,
-        count=count,
-        oper_polygon_present=present,
-        counterexamples=tuple(counterexamples),
-    )
+    itself admissible, hence the unique admissible maximum, holding no list.
+    One walk tallies the marks; only if some chain lies above the oper
+    polygon does a second walk build the polygons, to name those above."""
+    tally, oper = Counter(_marks(r, g, g)), r + 1
+    above = ()
+    if max(tally) > oper:
+        above = tuple(p for p, m in zip(iter_admissible(r, g), _marks(r, g, g)) if m > oper)
+    return MaximalityReport(r=r, g=g, count=sum(tally.values()),
+                            oper_polygon_present=oper in tally, counterexamples=above)

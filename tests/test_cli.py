@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from opercalc import HNPolygon, cli, enumerate_admissible, enumerate_admissible_slow, enumeration
+from opercalc import (
+    HNPolygon, cli, enumerate_admissible, enumerate_admissible_slow, enumeration, oper_polygon,
+    shatz_leq,
+)
 from opercalc.cli import _cell, _json_default, main, run
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
@@ -300,6 +303,19 @@ class TestEnumerateCommand:
         monkeypatch.setattr(HNPolygon, "_from_search", classmethod(built))
         code, out, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "json")
         assert code == 0 and out.count('{"breakpoints": ') == 13
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("r, g", itertools.product(range(2, 7), (2, 3)))
+    def test_listing_cells_match_the_cell_renderer(self, capture, r, g, fmt):
+        # The listing's cell fold and _cell both write a polygon's breakpoints:
+        # each row must be what _cell writes for the oracle's polygon and flags.
+        code, out, _ = capture("enumerate", "--rank", str(r), "--genus", str(g), "--format", fmt)
+        lines = list(csv.reader(io.StringIO(out))) if fmt == "csv" else [
+            line.split() for line in out.splitlines()]
+        top = oper_polygon(r, g)
+        expected = [[_cell(p), _cell(p == top), _cell(shatz_leq(p, top))]
+                    for p in enumerate_admissible_slow(r, g)]
+        assert code == 0 and lines == [["breakpoints", "is_oper", "dominated_by_oper"], *expected]
 
     def test_csv_flags_the_oper_polygon(self, capture):
         code, out, _ = capture(

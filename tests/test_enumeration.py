@@ -11,7 +11,7 @@ import pytest
 
 from opercalc import cli, enumeration
 from opercalc.core import _scaled_values
-from opercalc.enumeration import _against_oper, iter_admissible
+from opercalc.enumeration import _marks, iter_admissible
 from opercalc.laws import random_polygon
 from opercalc import (
     HNPolygon,
@@ -62,8 +62,8 @@ def unpruned_slow_oracle(r, g):
 def target_inequalities_from_quotient_data(polygon, g):
     """deg(V_i) <= (g-1)(n_1+...+n_i)(n_{i+1}+...+n_l) at every flag step,
     with each side summed from the quotient data (n_j, d_j): the paper's form
-    of the target inequalities, an oracle for the ``under`` flag of
-    ``_against_oper``, which reads V_i from the breakpoints."""
+    of the target inequalities, an oracle for the "under" reading of
+    ``_marks``, which reads V_i from the breakpoints."""
     qd = quotient_data(polygon)  # slopes increasing: bottom-up order
     return all(
         sum(d for _, d in qd[i:]) <= (g - 1) * sum(n for n, _ in qd[:i]) * sum(n for n, _ in qd[i:])
@@ -151,7 +151,7 @@ class TestEnumerateAdmissible:
         assert len(polys) == 4513
         assert polys == enumerate_admissible_slow(9, 2)
         report = verify_oper_maximality(10, 2)
-        assert report.passed
+        assert report.unique_maximum
         assert report.count == 15126
 
     @pytest.mark.parametrize("r", range(2, 11))
@@ -223,23 +223,24 @@ class TestEnumerateAdmissible:
     def test_search_builds_what_the_constructor_accepts(self, r, g):
         # The search skips the constructor's checks, which its bounds prove;
         # rebuilding through the constructor checks that proof on each polygon.
-        # The same walk pins the canonical order, and the flags that
-        # _against_oper reads at breakpoints against equality and the
-        # scaled-values dominance test.
+        # The same walk pins the canonical order, and the marks that _marks
+        # reads at breakpoints against equality and the scaled-values
+        # dominance test: r + 1 for the oper polygon, at most r + 1 under it.
         top = oper_polygon(r, g)
         scale = math.lcm(*range(1, r + 1))
         ceiling = _scaled_values(top, scale)
         types = set()
         count, previous = 0, ()
-        rows = enumeration._against_oper(iter_admissible(r, g), r, g)
-        for count, (poly, is_oper, under) in enumerate(rows, 1):
+        rows = zip(iter_admissible(r, g), _marks(r, g, g))
+        for count, (poly, mark) in enumerate(rows, 1):
             types.update(map(type, itertools.chain.from_iterable(poly.breakpoints)))
             checked = HNPolygon(poly.breakpoints)
             assert checked == poly and hash(checked) == hash(poly)
             assert poly.breakpoints > previous
             previous = poly.breakpoints
             vector = _scaled_values(poly, scale)
-            assert (is_oper, under) == (poly == top, all(map(operator.le, vector, ceiling)))
+            under = all(map(operator.le, vector, ceiling))
+            assert (mark == r + 1, mark <= r + 1) == (poly == top, under)
         assert types == {int}
         assert count == {(5, 3): 237, (7, 3): 5767, (8, 3): 29_427, (8, 4): 238_211}.get(
             (r, g), count)
@@ -272,17 +273,17 @@ class TestEnumerateAdmissible:
 class TestVerifyOperMaximality:
     def test_rank_two(self):
         report = verify_oper_maximality(2, 2)
-        assert report.passed
+        assert report.unique_maximum
         assert report.count == 2
 
     def test_rank_three(self):
         report = verify_oper_maximality(3, 2)
-        assert report.passed
+        assert report.unique_maximum
         assert report.count == 5
 
     def test_rank_four(self):
         report = verify_oper_maximality(4, 2)
-        assert report.passed
+        assert report.unique_maximum
         assert not report.counterexamples
 
     @pytest.mark.parametrize("r, g", [(3, 2), (5, 2), (4, 3)])
@@ -303,8 +304,26 @@ class TestVerifyOperMaximality:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (report.passed, report.count) == (True, 5767)
+        assert (report.unique_maximum, report.count) == (True, 5767)
         assert peak < 1_000_000  # a tuple of the 5767 polygons peaks at about 3 MB
+
+    def test_a_pass_builds_no_polygon(self, monkeypatch):
+        # A pass tallies the search's marks: the oper polygon it reads them
+        # against is the one polygon built, and no search polygon is.
+        init, built = HNPolygon.__init__, []
+
+        def counted(self, breakpoints):
+            built.append(breakpoints)
+            init(self, breakpoints)
+
+        def searched(cls, breakpoints):
+            raise AssertionError("built a search polygon")
+
+        monkeypatch.setattr(HNPolygon, "__init__", counted)
+        monkeypatch.setattr(HNPolygon, "_from_search", classmethod(searched))
+        report = verify_oper_maximality(7, 3)
+        assert (report.unique_maximum, report.count) == (True, 5767)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("r, g", [(3, 2), (4, 2), (5, 3), (6, 2), (7, 3)])
     def test_fails_with_the_true_oper_polygon_under_a_lowered_one(self, r, g, monkeypatch,
@@ -314,7 +333,7 @@ class TestVerifyOperMaximality:
         monkeypatch.setattr(enumeration, "oper_polygon", lambda r, g: HNPolygon(
             [(x, y - (0 < x < r)) for x, y in oper_polygon(r, g).breakpoints]))
         report = verify_oper_maximality(r, g)
-        assert report.passed is False
+        assert report.unique_maximum is False
         assert report.counterexamples == (oper_polygon(r, g),)
         argv = ["enumerate", "--rank", str(r), "--genus", str(g), "--verify", "--format", "json"]
         assert cli.run(argv) == 1
@@ -335,21 +354,25 @@ class TestVerifyOperMaximality:
 
 class TestVerifyTargetInequalities:
     def test_agrees_with_the_quotient_data_form(self):
-        # The genus-4 polygons hold those of genus 2 and 3, whose slope gap is
-        # narrower.  Each is checked at genera 2 .. 5, so that some fail.
-        # Cases are grouped by (rank, genus), so each oper polygon is built once.
-        cases = {(r, genus): list(enumerate_admissible(r, 4))
-                 for r in range(2, 8) for genus in range(2, 6)}
+        # The genus-4 search chains hold those of genus 2 and 3, whose slope
+        # gap is narrower.  Each is marked against the oper polygons of genera
+        # 2 .. 5, so that some lie above.  Random polygons, which the search
+        # does not yield, are read against the oper polygon by shatz_leq.
+        outcomes = set()
+        for r, genus in itertools.product(range(2, 8), range(2, 6)):
+            for poly, mark in zip(iter_admissible(r, 4), _marks(r, 4, genus)):
+                expected = target_inequalities_from_quotient_data(poly, genus)
+                assert (mark <= r + 1) == expected, (poly, genus)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+        outcomes = set()
         rng = random.Random(20231019)
         for _ in range(2100):
             poly = random_polygon(rng, rng.randint(2, 9))
-            cases.setdefault((poly.endpoint[0], rng.randint(2, 5)), []).append(poly)
-        outcomes = set()
-        for (r, genus), polys in cases.items():
-            for poly, _, under in _against_oper(polys, r, genus):
-                expected = target_inequalities_from_quotient_data(poly, genus)
-                assert under == expected, (poly, genus)
-                outcomes.add(expected)
+            genus = rng.randint(2, 5)
+            expected = target_inequalities_from_quotient_data(poly, genus)
+            assert shatz_leq(poly, oper_polygon(poly.endpoint[0], genus)) == expected, (poly, genus)
+            outcomes.add(expected)
         assert outcomes == {True, False}
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from opercalc import BundleNumerics
-from opercalc.enumeration import _against_oper
+from opercalc.enumeration import _marks
 from opercalc.filtrations import key_inequality_check, rearrangement_check
 from opercalc.laws import ALL_LAWS, Law, LawResult, _random_triples, random_polygon
 from opercalc.opers import oper_quotient_degrees
@@ -92,20 +92,21 @@ def test_the_constructions_row_checks_that_the_ladder_sums_to_zero(monkeypatch, 
     assert law_named("oper-polygon-constructions-coincide")().passed is False
 
 
-def forcing(flags):
-    """``_against_oper`` with each polygon's (is_oper, under) replaced by ``flags`` of them."""
-    def against_oper(polys, r, g):
-        for poly, is_oper, under in _against_oper(polys, r, g):
-            yield (poly, *flags(is_oper, under))
-    return against_oper
+def forcing(mark):
+    """``_marks`` with each chain's mark m at rank r replaced by ``mark(m, r)``."""
+    def marks(r, g, ceiling):
+        return (mark(m, r) for m in _marks(r, g, ceiling))
+    return marks
 
 
-# Wrong flags for the row to catch: a rule that answers "under" whatever the
-# polygon, one that never does, and one that mistakes which polygon is the oper polygon.
-FORCED_FLAGS = {
-    "under-always-true": lambda is_oper, under: (is_oper, True),
-    "under-always-false": lambda is_oper, under: (is_oper, False),
-    "is-oper-flipped": lambda is_oper, under: (not is_oper, under),
+# Wrong marks for the row to catch, read as flags: a rule that answers "under"
+# whatever the polygon (a mark above read as below), one that never does (every
+# mark above), and one that mistakes which polygon is the oper polygon (the
+# oper mark r + 1 and the marks below it swapped, so "under" is kept).
+FORCED_MARKS = {
+    "under-always-true": lambda m, r: 0 if m > r + 1 else m,
+    "under-always-false": lambda m, r: r + 2,
+    "is-oper-flipped": lambda m, r: 0 if m == r + 1 else r + 1 if m < r + 1 else m,
 }
 
 
@@ -115,9 +116,9 @@ class TestTargetInequalityRow:
         assert {under for _, _, under, _ in cases} == {True, False}
         assert {is_oper for _, is_oper, _, _ in cases} == {True, False}
 
-    @pytest.mark.parametrize("flags", FORCED_FLAGS.values(), ids=FORCED_FLAGS)
-    def test_fails_when_a_flag_is_forced(self, monkeypatch, flags):
-        monkeypatch.setattr("opercalc.laws._against_oper", forcing(flags))
+    @pytest.mark.parametrize("mark", FORCED_MARKS.values(), ids=FORCED_MARKS)
+    def test_fails_when_a_flag_is_forced(self, monkeypatch, mark):
+        monkeypatch.setattr("opercalc.laws._marks", forcing(mark))
         assert law_named("target-inequality-equivalence")().passed is False
 
 
