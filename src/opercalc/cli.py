@@ -28,15 +28,14 @@ and ``locale`` it loads, cost about 9 ms of every process's start-up.
 ``main``, the console entry point, turns the cyclic collector off for the
 whole run and freezes every object before it exits, so that finalization
 skips them; ``run`` keeps the collector as its caller set it.  Collecting
-and freeing the ~12 000 objects that start-up and imports made took several
-ms of every exit, and the r=8 g=4 JSON listing, when it still built its
-polygons, spent about 0.3 s of its 1.5 s in 1 093 collections that freed nothing.
+and freeing the objects that start-up and imports made costs several ms of
+every exit, and a run that allocates many objects would pay for collections
+that free nothing, since the commands build no cycles.
 """
 
 from __future__ import annotations
 
 import gc
-import io
 import os
 import sys
 from types import SimpleNamespace
@@ -140,11 +139,9 @@ def emit(
     if fmt == "csv":
         import csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(str_rows)
-        sys.stdout.write(buf.getvalue())
         return
     widths = [
         max(len(header[i]), *(len(r[i]) for r in str_rows)) if str_rows else len(header[i])

@@ -23,8 +23,9 @@ _Acc = TypeVar("_Acc")  # a chain's fold: a tuple or a string
 _Item = TypeVar("_Item")  # what it yields per chain
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: as JSON
-# it lists in about 0.3 s and peaks at 75 MB, as csv in 0.9 s and 84 MB, as a table
-# in 1.3 s and 66 MB; CI holds them under 120, 100 and 80 MB (2-CPU host, Python 3.11.7).
+# it lists in about 0.3 s and peaks at 75 MB, as csv in 0.9 s and 62 MB, as a table
+# in 1.3 s and 66 MB; tests/gates.py holds them under 120, 75 and 80 MB (2-CPU host,
+# Python 3.11.7).
 MAX_POLYGONS = 250_000
 
 
@@ -172,14 +173,15 @@ def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:
 
 
 def enumerate_admissible(r: int, g: int) -> tuple[HNPolygon, ...]:
-    """:func:`iter_admissible` as a tuple."""
+    """:func:`iter_admissible` as a tuple.  Nothing in the package reads it: it stays
+    public for the benchmark's cross-check (``perfbench/crosscheck.py``) and the tests."""
     return tuple(iter_admissible(r, g))
 
 
 def enumerate_admissible_slow(r: int, g: int) -> tuple[HNPolygon, ...]:
     """Independent oracle: enumerate quotient data (rank, degree) vectors
     within the proven degree bounds and keep those of total degree 0.
-    Slower than :func:`enumerate_admissible` but structurally unrelated to it.
+    Slower than :func:`iter_admissible` but structurally unrelated to it.
 
     For each composition of r into parts n_0, ..., n_{l-1} read bottom-up,
     the degree d of part i ranges over the integers that meet every necessary

@@ -18,7 +18,7 @@ from typing import Iterable
 from .core import (
     BundleNumerics, CurveParams, HNPolygon, _Value, polygon_from_quotient_data, shatz_leq,
 )
-from .enumeration import _marks, enumerate_admissible, verify_oper_maximality
+from .enumeration import _marks, iter_admissible, verify_oper_maximality
 from .filtrations import (
     FiltrationProfile, _partitions, key_inequality_check, max_score_brute_force,
     max_score_closed_form, rearrangement_check, sun_gap_term,
@@ -148,7 +148,7 @@ def _target_inequality_cases() -> Iterable[tuple[HNPolygon, bool, bool, HNPolygo
     # oper polygon, so each flag read from _marks is tested at both values
     for r, g in itertools.product(range(2, 5), (2, 3)):
         top = oper_polygon(r, g)
-        for poly, mark in zip(enumerate_admissible(r, g + 1), _marks(r, g + 1, g)):
+        for poly, mark in zip(iter_admissible(r, g + 1), _marks(r, g + 1, g)):
             yield poly, mark == r + 1, mark <= r + 1, top
 
 

@@ -20,6 +20,8 @@ from opercalc.cli import _cell, _json_default, main, run
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
 
+import gates  # tests/gates.py, the CLI's end-to-end gates, run by CI
+
 
 @pytest.fixture()
 def capture(capsys):
@@ -671,3 +673,18 @@ def test_readme_cli_examples_run(capture, tmp_path, monkeypatch, argv):
     code, out, err = capture(*argv[1:])
     assert (code, err) == (0, "")
     assert out
+
+
+def test_every_gate_parses_and_states_its_bounds():
+    # CI runs tests/gates.py's table at full size; here each row must still name a
+    # command and options that the CLI parses, so that a rename fails Tier-1 too.
+    handlers = {entry[0] for entry in cli.COMMANDS.values()}
+    argvs = [gate.argv for gate in gates.GATES]
+    assert argvs and len(set(argvs)) == len(argvs)
+    for gate in gates.GATES:
+        parsed = cli._parse(gate.argv.split(" "))
+        assert not isinstance(parsed, int) and parsed[0] in handlers, gate.argv
+        assert gate.timeout_s > 0 and gate.rss_mb > 0, gate.argv
+        assert gate.stdout == "empty" or (
+            isinstance(gate.stdout, tuple) and len(gate.stdout) == 2 and gate.stdout[0] > 0
+            and re.fullmatch("[0-9a-f]{64}", gate.stdout[1])), gate.argv
