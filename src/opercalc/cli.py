@@ -49,7 +49,7 @@ from .core import (
     strata_poset,
 )
 from . import enumeration
-from .enumeration import iter_admissible, verify_oper_maximality
+from .enumeration import ABOVE, OPER, iter_admissible, verify_oper_maximality
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
@@ -256,9 +256,9 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
         return 0
     r, g = args.rank, args.genus
     # each chain's breakpoints cell, as _cell writes it, folded along the search,
-    # with the two flags read from its mark in a second walk, in step
+    # with the two flags read from its place in a second walk, in step
     cells = enumeration._chains(r, g, "0,0", lambda x, y: f";{x},{y}", str)
-    rows = ((c, m == r + 1, m <= r + 1) for c, m in zip(cells, enumeration._marks(r, g, g)))
+    rows = ((c, at == OPER, at != ABOVE) for c, at in zip(cells, enumeration._places(r, g, g)))
     emit(args.format, None, ["breakpoints", "is_oper", "dominated_by_oper"], rows)
     return 0
 
@@ -316,23 +316,34 @@ def cmd_dims(args: SimpleNamespace) -> int:
             raise ValueError(f"config {args.config} is not UTF-8 JSON: {exc}") from None
         if not isinstance(sweep, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
+        for key in sweep:
+            if key not in ("rank", "genus", "char"):
+                raise ValueError(f"config {args.config} has unknown key {key!r}; "
+                                 "it takes 'rank', 'genus' and 'char'")
         ranks = sweep.get("rank", [] if args.rank is None else [args.rank])
         genera = sweep.get("genus", [] if args.genus is None else [args.genus])
         chars = sweep.get("char", [None])
-        for key, values in (("rank", ranks), ("genus", genera), ("char", chars)):
-            if not (isinstance(values, list) and values and all(
-                (isinstance(v, int) and not isinstance(v, bool))
-                or (key == "char" and v is None)
-                for v in values
-            )):
+        for key, values, needs in (("rank", ranks, "integers >= 2"),
+                                   ("genus", genera, "integers >= 2"), ("char", chars, "primes")):
+            if not (isinstance(values, list) and values):
                 raise ValueError(f"config {args.config} needs a non-empty list of "
                                  f"integers for {key!r}")
-        for p in chars:
-            try:  # by the rule that every command applies to --char
-                if p is not None:
-                    CurveParams(2, p).require_positive_char()
+            if key not in sweep:
+                continue  # filled in from --rank or --genus, and checked as that option is
+            try:  # each value by the rule that every command applies to its option
+                for v in values:
+                    if key != "char":
+                        _require_at_least(2, **{key: v})
+                    elif v is not None:
+                        CurveParams(2, v).require_positive_char()
             except ValueError as exc:
-                raise ValueError(f"config {args.config} needs primes for 'char': {exc}") from None
+                raise ValueError(f"config {args.config} needs {needs} for {key!r}: {exc}") from None
+        # Every row is held before the csv is written: refused past the listing's row
+        # limit before any is computed, read here so that a test may lower it.
+        count, limit = len(ranks) * len(genera) * len(chars), enumeration.MAX_POLYGONS
+        if count > limit:
+            raise ValueError(f"config {args.config} sweeps {count} rows, more than "
+                             f"MAX_POLYGONS = {limit}; refusing to compute them")
         columns = ["threshold_C", "oper_space_dim", "destabilized_locus_dim", "quot_expected",
                    "oper_quot_degree"]
         rows: list[list[Any]] = []

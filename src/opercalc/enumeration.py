@@ -267,35 +267,40 @@ class MaximalityReport(_Value):
         return self.all_dominated and self.oper_polygon_present
 
 
-def _marks(r: int, g: int, ceiling: int) -> Iterator[int]:
-    """The mark of each admissible chain of rank r and genus g against the
-    genus-``ceiling`` oper polygon, in :func:`_chains` order: 1, plus for each
-    breakpoint (x, y) past the origin 1 if y is the oper polygon's value at x,
-    r + 2 if above and 0 if below.  A chain has at most r such breakpoints and
-    the oper polygon one at every integer x, so the mark is r + 1 iff the
-    chain is the oper polygon, and more iff some breakpoint lies above.
+UNDER, OPER, ABOVE = "under", "oper", "above"  # a chain against the oper polygon: see _places
 
-    A chain is linear between its breakpoints and the oper polygon is concave,
-    so the chain lies under it iff each breakpoint does: iff its mark is at
-    most r + 1.  Read at the flag step V_i of rank x and degree y, these are
+
+def _places(r: int, g: int, ceiling: int) -> Iterator[str]:
+    """The place of each admissible chain of rank r and genus g against the
+    genus-``ceiling`` oper polygon, in :func:`_chains` order: a table reads the
+    sum of 1 and, for each breakpoint (x, y) past the origin, 1 if y is the oper
+    polygon's value at x, r + 2 if above and 0 if below.  A chain has at most r
+    such breakpoints and the oper polygon one at every integer x, so the sum is
+    r + 1 iff the chain is the oper polygon (:data:`OPER`), and more iff some
+    breakpoint lies above it (:data:`ABOVE`).  A chain is linear between its
+    breakpoints and the oper polygon is concave, so the chain lies under it iff
+    each breakpoint does: iff its sum is at most r + 1 (:data:`UNDER` or
+    :data:`OPER`).  Read at the flag step V_i of rank x and degree y, these are
     the paper's target inequalities deg(V_i) <= (g-1) rk(V_i) (r - rk(V_i));
     the law ``target-inequality-equivalence`` checks both readings against
     ``shatz_leq``.
     """
-    marks = _chains(r, g, 1, lambda x, y: (y >= top[x]) + (y > top[x]) * (r + 1), int)
-    # built after _chains has checked r, g and the rank limit, before the walk reads it
+    table: list[str] = []  # the place of each sum, 0 .. r(r+2)+1
+    walk = _chains(r, g, 1, lambda x, y: (y >= top[x]) + (y > top[x]) * (r + 1), table.__getitem__)
+    # built after _chains has checked r, g and the rank limit, before the walk reads them
     top = dict(oper_polygon(r, ceiling).breakpoints)
-    return marks
+    table += [UNDER] * (r + 1) + [OPER] + [ABOVE] * (r * r + r)
+    return walk
 
 
 def verify_oper_maximality(r: int, g: int) -> MaximalityReport:
     """Check that the oper polygon dominates every admissible polygon and is
     itself admissible, hence the unique admissible maximum, holding no list.
-    One walk tallies the marks; only if some chain lies above the oper
+    One walk tallies the places; only if some chain lies above the oper
     polygon does a second walk build the polygons, to name those above."""
-    tally, oper = Counter(_marks(r, g, g)), r + 1
+    tally = Counter(_places(r, g, g))
     above = ()
-    if max(tally) > oper:
-        above = tuple(p for p, m in zip(iter_admissible(r, g), _marks(r, g, g)) if m > oper)
+    if ABOVE in tally:
+        above = tuple(p for p, at in zip(iter_admissible(r, g), _places(r, g, g)) if at == ABOVE)
     return MaximalityReport(r=r, g=g, count=sum(tally.values()),
-                            oper_polygon_present=oper in tally, counterexamples=above)
+                            oper_polygon_present=OPER in tally, counterexamples=above)

@@ -18,7 +18,7 @@ from typing import Iterable
 from .core import (
     BundleNumerics, CurveParams, HNPolygon, _Value, polygon_from_quotient_data, shatz_leq,
 )
-from .enumeration import _marks, iter_admissible, verify_oper_maximality
+from .enumeration import ABOVE, OPER, _places, iter_admissible, verify_oper_maximality
 from .filtrations import (
     FiltrationProfile, _partitions, key_inequality_check, max_score_brute_force,
     max_score_closed_form, rearrangement_check, sun_gap_term,
@@ -145,11 +145,11 @@ def _random_profiles() -> Iterable[tuple[FiltrationProfile]]:
 
 def _target_inequality_cases() -> Iterable[tuple[HNPolygon, bool, bool, HNPolygon]]:
     # the wider slope gap of genus g + 1 puts some polygons above the genus-g
-    # oper polygon, so each flag read from _marks is tested at both values
+    # oper polygon, so each flag read from _places is tested at both values
     for r, g in itertools.product(range(2, 5), (2, 3)):
         top = oper_polygon(r, g)
-        for poly, mark in zip(iter_admissible(r, g + 1), _marks(r, g + 1, g)):
-            yield poly, mark == r + 1, mark <= r + 1, top
+        for poly, at in zip(iter_admissible(r, g + 1), _places(r, g + 1, g)):
+            yield poly, at == OPER, at != ABOVE, top
 
 
 def _random_triples() -> Iterable[tuple[HNPolygon, HNPolygon, HNPolygon]]:

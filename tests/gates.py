@@ -35,6 +35,9 @@ GATES = (
     Gate("enumerate --rank 8 --genus 7", 2, "empty", REFUSED, 80, 60),
     Gate("enumerate --rank 8 --genus 7 --verify --format json", 2, "empty", REFUSED, 40, 60),
     Gate("enumerate --rank 100000000 --genus 2 --verify --format json", 2, "empty", REFUSED, 40, 10),
+    # rank 37, the widest fan-out, is the largest that the walk refuses by counting chains
+    Gate("enumerate --rank 37 --genus 2 --format csv", 2, "empty", REFUSED, 80, 60),
+    Gate("enumerate --rank 37 --genus 2 --verify --format json", 2, "empty", REFUSED, 40, 60),
     Gate("strata --rank 8 --genus 4 --format json", 2, "empty", "above the limit of 30000", 100, 60),
     Gate("oper-polygon --rank 100000000 --genus 2 --format json", 2, "empty", REFUSED, 100, 60),
     Gate("enumerate --rank 8 --genus 4 --verify --format json", 0, (134, "b7ba3ea19bde0def235c"

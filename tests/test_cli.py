@@ -453,6 +453,9 @@ class TestSweepConfig:
         ({"rank": [3], "genus": [2], "char": [0]}, "'char'"),
         ({"rank": [3], "genus": [2], "char": [1]}, "'char'"),
         ({"rank": [3], "genus": [2], "char": [318_665_857_834_031_151_167_461]}, "'char'"),
+        ({"rank": [2, 1], "genus": [2]}, "for 'rank': rank must be >= 2, got 1"),
+        ({"rank": [2], "genus": [2, 0]}, "for 'genus': genus must be >= 2, got 0"),
+        ({"rank": [2], "genus": [2], "chars": [5]}, "unknown key 'chars'"),
         # the file itself: bytes are written as they are
         (b"rank = 3\n", "not UTF-8 JSON: Expecting value"),
         (b"\xff{}", "not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff"),
@@ -464,6 +467,18 @@ class TestSweepConfig:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err and str(config) in err
+
+    def test_a_sweep_past_the_row_limit_is_refused_before_any_row(self, capture, tmp_path,
+                                                                 monkeypatch):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"rank": [2, 3], "genus": [2, 3], "char": [5, None]}))
+        monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 8)
+        assert capture("dims", "--config", str(config))[1].count("\n") == 1 + 8
+        monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 7)
+        monkeypatch.setattr("opercalc.cli._dims_record", None)  # no row is computed
+        assert capture("dims", "--config", str(config)) == (2, "", (
+            f"error: config {config} sweeps 8 rows, more than MAX_POLYGONS = 7; "
+            "refusing to compute them\n"))
 
     @pytest.mark.parametrize("option, sweep, message", [
         ("--rank", {"genus": [2]}, "rank must be >= 2, got 0"),

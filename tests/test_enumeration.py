@@ -11,7 +11,7 @@ import pytest
 
 from opercalc import cli, enumeration
 from opercalc.core import _scaled_values
-from opercalc.enumeration import _marks, iter_admissible
+from opercalc.enumeration import ABOVE, OPER, UNDER, _places, iter_admissible
 from opercalc.laws import random_polygon
 from opercalc import (
     HNPolygon,
@@ -63,7 +63,7 @@ def target_inequalities_from_quotient_data(polygon, g):
     """deg(V_i) <= (g-1)(n_1+...+n_i)(n_{i+1}+...+n_l) at every flag step,
     with each side summed from the quotient data (n_j, d_j): the paper's form
     of the target inequalities, an oracle for the "under" reading of
-    ``_marks``, which reads V_i from the breakpoints."""
+    ``_places``, which reads V_i from the breakpoints."""
     qd = quotient_data(polygon)  # slopes increasing: bottom-up order
     return all(
         sum(d for _, d in qd[i:]) <= (g - 1) * sum(n for n, _ in qd[:i]) * sum(n for n, _ in qd[i:])
@@ -223,16 +223,16 @@ class TestEnumerateAdmissible:
     def test_search_builds_what_the_constructor_accepts(self, r, g):
         # The search skips the constructor's checks, which its bounds prove;
         # rebuilding through the constructor checks that proof on each polygon.
-        # The same walk pins the canonical order, and the marks that _marks
+        # The same walk pins the canonical order, and the places that _places
         # reads at breakpoints against equality and the scaled-values
-        # dominance test: r + 1 for the oper polygon, at most r + 1 under it.
+        # dominance test.
         top = oper_polygon(r, g)
         scale = math.lcm(*range(1, r + 1))
         ceiling = _scaled_values(top, scale)
         types = set()
         count, previous = 0, ()
-        rows = zip(iter_admissible(r, g), _marks(r, g, g))
-        for count, (poly, mark) in enumerate(rows, 1):
+        rows = zip(iter_admissible(r, g), _places(r, g, g))
+        for count, (poly, place) in enumerate(rows, 1):
             types.update(map(type, itertools.chain.from_iterable(poly.breakpoints)))
             checked = HNPolygon(poly.breakpoints)
             assert checked == poly and hash(checked) == hash(poly)
@@ -240,7 +240,7 @@ class TestEnumerateAdmissible:
             previous = poly.breakpoints
             vector = _scaled_values(poly, scale)
             under = all(map(operator.le, vector, ceiling))
-            assert (mark == r + 1, mark <= r + 1) == (poly == top, under)
+            assert place == (OPER if poly == top else UNDER if under else ABOVE)
         assert types == {int}
         assert count == {(5, 3): 237, (7, 3): 5767, (8, 3): 29_427, (8, 4): 238_211}.get(
             (r, g), count)
@@ -308,7 +308,7 @@ class TestVerifyOperMaximality:
         assert peak < 1_000_000  # a tuple of the 5767 polygons peaks at about 3 MB
 
     def test_a_pass_builds_no_polygon(self, monkeypatch):
-        # A pass tallies the search's marks: the oper polygon it reads them
+        # A pass tallies the search's places: the oper polygon it reads them
         # against is the one polygon built, and no search polygon is.
         init, built = HNPolygon.__init__, []
 
@@ -355,14 +355,14 @@ class TestVerifyOperMaximality:
 class TestVerifyTargetInequalities:
     def test_agrees_with_the_quotient_data_form(self):
         # The genus-4 search chains hold those of genus 2 and 3, whose slope
-        # gap is narrower.  Each is marked against the oper polygons of genera
+        # gap is narrower.  Each is placed against the oper polygons of genera
         # 2 .. 5, so that some lie above.  Random polygons, which the search
         # does not yield, are read against the oper polygon by shatz_leq.
         outcomes = set()
         for r, genus in itertools.product(range(2, 8), range(2, 6)):
-            for poly, mark in zip(iter_admissible(r, 4), _marks(r, 4, genus)):
+            for poly, place in zip(iter_admissible(r, 4), _places(r, 4, genus)):
                 expected = target_inequalities_from_quotient_data(poly, genus)
-                assert (mark <= r + 1) == expected, (poly, genus)
+                assert (place != ABOVE) == expected, (poly, genus)
                 outcomes.add(expected)
         assert outcomes == {True, False}
         outcomes = set()

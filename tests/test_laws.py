@@ -5,7 +5,7 @@ import random
 import pytest
 
 from opercalc import BundleNumerics
-from opercalc.enumeration import _marks
+from opercalc.enumeration import ABOVE, OPER, UNDER, _places
 from opercalc.filtrations import key_inequality_check, rearrangement_check
 from opercalc.laws import ALL_LAWS, Law, LawResult, _random_triples, random_polygon
 from opercalc.opers import oper_quotient_degrees
@@ -92,21 +92,21 @@ def test_the_constructions_row_checks_that_the_ladder_sums_to_zero(monkeypatch, 
     assert law_named("oper-polygon-constructions-coincide")().passed is False
 
 
-def forcing(mark):
-    """``_marks`` with each chain's mark m at rank r replaced by ``mark(m, r)``."""
-    def marks(r, g, ceiling):
-        return (mark(m, r) for m in _marks(r, g, ceiling))
-    return marks
+def forcing(place):
+    """``_places`` with each chain's place p replaced by ``place[p]``."""
+    def places(r, g, ceiling):
+        return map(place.__getitem__, _places(r, g, ceiling))
+    return places
 
 
-# Wrong marks for the row to catch, read as flags: a rule that answers "under"
-# whatever the polygon (a mark above read as below), one that never does (every
-# mark above), and one that mistakes which polygon is the oper polygon (the
-# oper mark r + 1 and the marks below it swapped, so "under" is kept).
-FORCED_MARKS = {
-    "under-always-true": lambda m, r: 0 if m > r + 1 else m,
-    "under-always-false": lambda m, r: r + 2,
-    "is-oper-flipped": lambda m, r: 0 if m == r + 1 else r + 1 if m < r + 1 else m,
+# Wrong places for the row to catch, read as flags: a rule that answers "under"
+# whatever the polygon (above read as under), one that never does (every chain
+# above), and one that mistakes which polygon is the oper polygon (oper and
+# under swapped, so "under" is kept).
+FORCED_PLACES = {
+    "under-always-true": {UNDER: UNDER, OPER: OPER, ABOVE: UNDER},
+    "under-always-false": {UNDER: ABOVE, OPER: ABOVE, ABOVE: ABOVE},
+    "is-oper-flipped": {UNDER: OPER, OPER: UNDER, ABOVE: ABOVE},
 }
 
 
@@ -116,9 +116,9 @@ class TestTargetInequalityRow:
         assert {under for _, _, under, _ in cases} == {True, False}
         assert {is_oper for _, is_oper, _, _ in cases} == {True, False}
 
-    @pytest.mark.parametrize("mark", FORCED_MARKS.values(), ids=FORCED_MARKS)
-    def test_fails_when_a_flag_is_forced(self, monkeypatch, mark):
-        monkeypatch.setattr("opercalc.laws._marks", forcing(mark))
+    @pytest.mark.parametrize("place", FORCED_PLACES.values(), ids=FORCED_PLACES)
+    def test_fails_when_a_flag_is_forced(self, monkeypatch, place):
+        monkeypatch.setattr("opercalc.laws._places", forcing(place))
         assert law_named("target-inequality-equivalence")().passed is False
 
 
