@@ -49,7 +49,7 @@ from .core import (
     strata_poset,
 )
 from . import enumeration
-from .enumeration import ABOVE, OPER, iter_admissible, verify_oper_maximality
+from .enumeration import ABOVE, OPER, UNDER, iter_admissible, verify_oper_maximality
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
@@ -125,7 +125,10 @@ def emit(
     print through ``_json_default`` and ``_cell``, so a command passes its
     polygons and rationals as they are.  Every ``record`` is a tree of dicts,
     lists, tuples, polygons and rationals, none of which holds its container,
-    so it has no cycle and json skips the scan for one.
+    so it has no cycle and json skips the scan for one.  csv writes each row as
+    it reads it; only the table holds its rendered rows, whose column widths
+    need them all.  So a caller whose rows could raise decides that before it
+    calls, or the error would follow printed rows.
     """
     if fmt == "json":
         import json
@@ -135,14 +138,14 @@ def emit(
     if rows is None:
         header = list(record) if header is None else header
         rows = [[record[key] for key in header]]
-    str_rows = [[_cell(v) for v in row] for row in rows]
     if fmt == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(str_rows)
+        writer.writerows([_cell(v) for v in row] for row in rows)
         return
+    str_rows = [[_cell(v) for v in row] for row in rows]
     widths = [
         max(len(header[i]), *(len(r[i]) for r in str_rows)) if str_rows else len(header[i])
         for i in range(len(header))
@@ -255,10 +258,12 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
         print(_json_listing(args.rank, args.genus))
         return 0
     r, g = args.rank, args.genus
-    # each chain's breakpoints cell, as _cell writes it, folded along the search,
-    # with the two flags read from its place in a second walk, in step
+    # A first walk keeps the place of each chain not under the oper polygon (the oper
+    # polygon alone, when the claim holds) and refuses past MAX_POLYGONS before any row
+    # is written; the second folds each chain's breakpoints cell as _cell writes it.
+    marked = {i: at for i, at in enumerate(enumeration._places(r, g, g)) if at != UNDER}
     cells = enumeration._chains(r, g, "0,0", lambda x, y: f";{x},{y}", str)
-    rows = ((c, at == OPER, at != ABOVE) for c, at in zip(cells, enumeration._places(r, g, g)))
+    rows = ((c, marked.get(i) == OPER, marked.get(i) != ABOVE) for i, c in enumerate(cells))
     emit(args.format, None, ["breakpoints", "is_oper", "dominated_by_oper"], rows)
     return 0
 
@@ -292,11 +297,11 @@ def _dims_record(r: int, g: int) -> dict[str, Any]:
     from .frobenius import expected_dimensions
 
     dims = expected_dimensions(r, g)
-    base_dim, oper_dim = oper_space_dimensions(r, g)
+    dim = oper_space_dimensions(r, g)
     return {
         "threshold_C": threshold_C(r, g),
-        "hitchin_base_dim": base_dim,
-        "oper_space_dim": oper_dim,
+        "hitchin_base_dim": dim,
+        "oper_space_dim": dim,
         "destabilized_locus_dim": dims.destabilized_locus_dim,
         "quot_expected": dims.quot_expected,
         "oper_quot_degree": dims.oper_quot_degree,
@@ -328,8 +333,6 @@ def cmd_dims(args: SimpleNamespace) -> int:
             if not (isinstance(values, list) and values):
                 raise ValueError(f"config {args.config} needs a non-empty list of "
                                  f"integers for {key!r}")
-            if key not in sweep:
-                continue  # filled in from --rank or --genus, and checked as that option is
             try:  # each value by the rule that every command applies to its option
                 for v in values:
                     if key != "char":
@@ -337,22 +340,20 @@ def cmd_dims(args: SimpleNamespace) -> int:
                     elif v is not None:
                         CurveParams(2, v).require_positive_char()
             except ValueError as exc:
+                if key not in sweep:
+                    raise  # filled in from --rank or --genus: that option's own message
                 raise ValueError(f"config {args.config} needs {needs} for {key!r}: {exc}") from None
-        # Every row is held before the csv is written: refused past the listing's row
-        # limit before any is computed, read here so that a test may lower it.
+        # Every value is checked, so no row can fail after the header.  Refused past the
+        # listing's row limit before any row is computed, read here so a test may lower it.
         count, limit = len(ranks) * len(genera) * len(chars), enumeration.MAX_POLYGONS
         if count > limit:
             raise ValueError(f"config {args.config} sweeps {count} rows, more than "
                              f"MAX_POLYGONS = {limit}; refusing to compute them")
         columns = ["threshold_C", "oper_space_dim", "destabilized_locus_dim", "quot_expected",
                    "oper_quot_degree"]
-        rows: list[list[Any]] = []
-        for r in ranks:
-            for g in genera:
-                record = _dims_record(r, g)
-                c = record["threshold_C"]
-                rows += [[r, g, p, *(record[k] for k in columns),
-                          (p > c) if p is not None else None] for p in chars]
+        records = ((r, g, _dims_record(r, g)) for r in ranks for g in genera)
+        rows = ([r, g, p, *(rec[k] for k in columns), None if p is None else p > rec["threshold_C"]]
+                for r, g, rec in records for p in chars)  # each row written as it is computed
         emit("csv", None, ["rank", "genus", "char", *columns, "char_exceeds_threshold"], rows)
         return 0
     if args.rank is None or args.genus is None:

@@ -23,8 +23,8 @@ _Acc = TypeVar("_Acc")  # a chain's fold: a tuple or a string
 _Item = TypeVar("_Item")  # what it yields per chain
 
 # r=8 g=4, the largest listing measured to finish, has 238 211 polygons: as JSON
-# it lists in about 0.3 s and peaks at 75 MB, as csv in 0.9 s and 62 MB, as a table
-# in 1.3 s and 66 MB; tests/gates.py holds them under 120, 75 and 80 MB (2-CPU host,
+# it lists in about 0.3 s and peaks at 75 MB, as csv in 0.9 s and 16 MB, as a table
+# in 1.2 s and 64 MB; tests/gates.py holds them under 120, 30 and 80 MB (2-CPU host,
 # Python 3.11.7).
 MAX_POLYGONS = 250_000
 

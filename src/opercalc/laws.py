@@ -85,7 +85,7 @@ def _oper_dimensions(r: int, g: int) -> bool:
     # The Hitchin base is the sum of H^0(K^i), i = 2..r, and Riemann-Roch gives
     # h^0(K^i) = (2i-1)(g-1) for i >= 2.
     dim = sum((2 * i - 1) * (g - 1) for i in range(2, r + 1))
-    return oper_space_dimensions(r, g) == (dim, dim)
+    return oper_space_dimensions(r, g) == dim
 
 
 def _quot_dimension_cases() -> Iterable[tuple[QuotProblem, int]]:

@@ -62,9 +62,8 @@ def threshold_C(r: int, g: int) -> int:
     return r * (r - 1) * (r - 2) * (g - 1)
 
 
-def oper_space_dimensions(r: int, g: int) -> tuple[int, int]:
-    """Dimensions of the space of pluricanonical sections and of the oper
-    space; both equal (g-1)(r^2 - 1), so the pair is always equal."""
+def oper_space_dimensions(r: int, g: int) -> int:
+    """The dimension (g-1)(r^2 - 1) of the oper space, which is also that of
+    the Hitchin base, the space of pluricanonical sections."""
     _require_at_least(2, rank=r, genus=g)
-    dim = (g - 1) * (r * r - 1)
-    return dim, dim
+    return (g - 1) * (r * r - 1)

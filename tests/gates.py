@@ -31,12 +31,12 @@ class Gate(NamedTuple):
 
 GATES = (
     Gate("enumerate --rank 8 --genus 7 --format json", 2, "empty", REFUSED, 80, 60),
-    Gate("enumerate --rank 8 --genus 7 --format csv", 2, "empty", REFUSED, 80, 60),
-    Gate("enumerate --rank 8 --genus 7", 2, "empty", REFUSED, 80, 60),
+    Gate("enumerate --rank 8 --genus 7 --format csv", 2, "empty", REFUSED, 30, 60),
+    Gate("enumerate --rank 8 --genus 7", 2, "empty", REFUSED, 30, 60),
     Gate("enumerate --rank 8 --genus 7 --verify --format json", 2, "empty", REFUSED, 40, 60),
     Gate("enumerate --rank 100000000 --genus 2 --verify --format json", 2, "empty", REFUSED, 40, 10),
     # rank 37, the widest fan-out, is the largest that the walk refuses by counting chains
-    Gate("enumerate --rank 37 --genus 2 --format csv", 2, "empty", REFUSED, 80, 60),
+    Gate("enumerate --rank 37 --genus 2 --format csv", 2, "empty", REFUSED, 30, 60),
     Gate("enumerate --rank 37 --genus 2 --verify --format json", 2, "empty", REFUSED, 40, 60),
     Gate("strata --rank 8 --genus 4 --format json", 2, "empty", "above the limit of 30000", 100, 60),
     Gate("oper-polygon --rank 100000000 --genus 2 --format json", 2, "empty", REFUSED, 100, 60),
@@ -45,7 +45,7 @@ GATES = (
     Gate("enumerate --rank 8 --genus 4 --format json", 0, (19_700_031, "998a92b90650d2b208e51f"
          "19e77f87a5d4f1947b813ca7b5efa114e8c7f416b5"), "", 120, 120),
     Gate("enumerate --rank 8 --genus 4 --format csv", 0, (11_222_897, "d52943649553df359cfe18"
-         "4c6bb9b7b5e8aa73ddb486a95146d7553ca04fbfe3"), "", 75, 120),
+         "4c6bb9b7b5e8aa73ddb486a95146d7553ca04fbfe3"), "", 30, 120),
     Gate("enumerate --rank 8 --genus 4 --format table", 0, (13_816_309, "fa4b5f50109d6aa605fc"
          "87b4815490bc0638cf274fda82f62932229a47a34e96"), "", 80, 120),
     Gate("optimize --weight 200 --cap 200 --oracle", 2, "empty", "MAX_PARTS = 12500000", 40, 10),

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -31,6 +32,33 @@ def capture(capsys):
         return code, captured.out, captured.err
 
     return invoke
+
+
+class Digest(io.TextIOBase):
+    """A stdout that keeps only the size and sha256 of what is written to it, so
+    that tracemalloc counts what a command holds and not its captured output."""
+
+    def __init__(self):
+        self.size, self.sha256 = 0, hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode()
+        self.size += len(data)
+        self.sha256.update(data)
+        return len(text)
+
+
+def traced_run(monkeypatch, *argv):
+    """The exit code, the stdout ``Digest`` and the tracemalloc peak of one run."""
+    out = Digest()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = run(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, peak
 
 
 class TestOperPolygonCommand:
@@ -349,6 +377,29 @@ class TestEnumerateCommand:
         assert (code, out.count("\n")) == (0, 1 + 5767)
         assert held[0] < 100_000
 
+    def test_csv_listing_writes_each_row_as_it_is_computed(self, monkeypatch):
+        # Held before the first write, the rendered rows of rank 7 genus 3 peak at
+        # about 1.6 MB; written as each is computed, the listing peaks at about 0.5 MB.
+        code, out, peak = traced_run(monkeypatch, "enumerate", "--rank", "7", "--genus", "3",
+                                     "--format", "csv")
+        assert (code, out.size) == (0, 227_464)
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_a_refused_listing_starts_no_cell_walk(self, capture, monkeypatch, fmt):
+        # the walk of places refuses the listing before the cells are folded
+        starts, chains = [], enumeration._chains
+
+        def recorded(r, g, start, *rest):
+            starts.append(start)
+            return chains(r, g, start, *rest)
+
+        monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)
+        monkeypatch.setattr(enumeration, "_chains", recorded)
+        code, out, err = capture("enumerate", "--rank", "3", "--genus", "2", "--format", fmt)
+        assert (code, out) == (2, "") and "MAX_POLYGONS = 4" in err
+        assert starts and "0,0" not in starts
+
     def test_deterministic_output(self, capture):
         _, first, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "csv")
         _, second, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "csv")
@@ -479,6 +530,16 @@ class TestSweepConfig:
         assert capture("dims", "--config", str(config)) == (2, "", (
             f"error: config {config} sweeps 8 rows, more than MAX_POLYGONS = 7; "
             "refusing to compute them\n"))
+
+    def test_a_sweep_writes_each_row_as_it_is_computed(self, monkeypatch, tmp_path):
+        # Held before the first write, its 22 500 rows peak at about 18 MB.
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"rank": list(range(2, 152)), "genus": list(range(2, 152))}))
+        code, out, peak = traced_run(monkeypatch, "dims", "--config", str(config))
+        assert (code, out.size) == (0, 807_909)
+        assert out.sha256.hexdigest() == ("eba712e8ab06f8ac736ce35718d7e7cfee97b1f6c2d49453e98a89f5"
+                                          "ccfe8f0f")
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("option, sweep, message", [
         ("--rank", {"genus": [2]}, "rank must be >= 2, got 0"),

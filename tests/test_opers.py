@@ -97,7 +97,7 @@ class TestIdentities:
 
     @pytest.mark.parametrize("r,g,expected", [(2, 2, 3), (3, 2, 8), (2, 3, 6)])
     def test_space_dimensions(self, r, g, expected):
-        assert oper_space_dimensions(r, g) == (expected, expected)
+        assert oper_space_dimensions(r, g) == expected
 
     @pytest.mark.parametrize(
         "rank,degree,g,p",
