@@ -6,9 +6,9 @@ Rationals print as "a/b" in tables and CSV and as {"num", "den"} decimal
 strings in JSON; never as decimals.  Polygons print as their breakpoints:
 ``0,0;1,2;2,2;3,0`` in a cell, ``{"breakpoints": [[0, 0], ...]}`` in JSON.
 Only ``emit``'s two renderers, ``_cell`` and ``_json_default``, and the
-listings' text folds in ``_json_listing`` and ``cmd_enumerate`` know these
-rules; Tier-1 tests tie the folds to ``json.dumps`` and to ``_cell``.  Exit
-codes: 0 success, 1 verification failure (counterexample found), 2 usage error.
+listings' text folds in ``cmd_enumerate`` know these rules; Tier-1 tests tie
+the folds to ``json.dumps`` and to ``_cell``.  Exit codes: 0 success,
+1 verification failure (counterexample found), 2 usage error.
 
 Only what ``enumerate`` and ``strata`` run is imported at module level; the
 other subcommands import their modules (frobenius, filtrations, laws) in
@@ -38,6 +38,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from itertools import islice
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -49,7 +50,7 @@ from .core import (
     strata_poset,
 )
 from . import enumeration
-from .enumeration import ABOVE, OPER, UNDER, iter_admissible, verify_oper_maximality
+from .enumeration import ABOVE, OPER, iter_admissible, verify_oper_maximality
 from .opers import oper_polygon, oper_space_dimensions, threshold_C
 
 USAGE_ERROR = 2
@@ -91,25 +92,6 @@ def _json_default(value: Any) -> Any:
         raise TypeError(f"{type(value).__name__} is not JSON serializable") from None
 
 
-def _json_listing(r: int, g: int) -> str:
-    """The JSON listing of the admissible polygons of rank ``r`` and genus
-    ``g``: exactly what ``json.dumps(polys, sort_keys=True,
-    default=_json_default)`` writes for ``polys = tuple(iter_admissible(r, g))``,
-    with no polygon built and no encoder run.
-
-    The search folds each chain's text as it walks: a node appends its
-    ``, [x, y]`` to its parent's text once, for every chain through it, and
-    ``]}`` closes the chain after ``, [r, 0]``.  So each ``[x, y]`` is
-    rendered once per search state and appended once per node of the search
-    tree, and each polygon costs two string concatenations.  The search
-    refuses the :data:`~opercalc.enumeration.MAX_POLYGONS` + 1st chain, as it
-    does for ``iter_admissible``, before the text is returned.
-    """
-    texts = enumeration._chains(r, g, '{"breakpoints": [[0, 0]',
-                                lambda x, y: f", [{x}, {y}]", lambda text: text + "]}")
-    return f"[{', '.join(texts)}]"
-
-
 def emit(
     fmt: str,
     record: Any,
@@ -127,8 +109,7 @@ def emit(
     lists, tuples, polygons and rationals, none of which holds its container,
     so it has no cycle and json skips the scan for one.  csv writes each row as
     it reads it; only the table holds its rendered rows, whose column widths
-    need them all.  So a caller whose rows could raise decides that before it
-    calls, or the error would follow printed rows.
+    need them all.
     """
     if fmt == "json":
         import json
@@ -254,16 +235,21 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
         }
         emit(args.format, record, list(record)[2:])  # csv and table omit rank, genus
         return 0 if report.unique_maximum else VERIFICATION_FAILURE
-    if args.format == "json":
-        print(_json_listing(args.rank, args.genus))
-        return 0
+    # The search folds each chain's text, a node appending its ", [x, y]" (JSON) or ";x,y"
+    # (a cell) once for every chain through it.  A refused walk raises when it is made.
     r, g = args.rank, args.genus
-    # A first walk keeps the place of each chain not under the oper polygon (the oper
-    # polygon alone, when the claim holds) and refuses past MAX_POLYGONS before any row
-    # is written; the second folds each chain's breakpoints cell as _cell writes it.
-    marked = {i: at for i, at in enumerate(enumeration._places(r, g, g)) if at != UNDER}
+    if args.format == "json":  # each text is ", " and what json.dumps writes for a polygon
+        texts = enumeration._chains(r, g, ', {"breakpoints": [[0, 0]',
+                                    lambda x, y: f", [{x}, {y}]", lambda text: text + "]}")
+        sys.stdout.write("[" + next(texts)[2:])  # every walk yields the semistable polygon
+        # a thousand texts a write: a write each adds half to the walk's time at r=7 g=3
+        while chunk := "".join(islice(texts, 1000)):
+            sys.stdout.write(chunk)
+        print("]")
+        return 0
+    places = enumeration._places(r, g, g)
     cells = enumeration._chains(r, g, "0,0", lambda x, y: f";{x},{y}", str)
-    rows = ((c, marked.get(i) == OPER, marked.get(i) != ABOVE) for i, c in enumerate(cells))
+    rows = ((c, at == OPER, at != ABOVE) for c, at in zip(cells, places))
     emit(args.format, None, ["breakpoints", "is_oper", "dominated_by_oper"], rows)
     return 0
 

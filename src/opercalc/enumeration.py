@@ -5,15 +5,16 @@ A degree-0 rank-r polygon is admissible when successive quotient slopes
 differ by at most 2g-2 (the slope-gap constraint for semistable local
 systems).  Admissible polygons of fixed rank form a finite set; the gap
 constraint together with degree 0 bounds every slope by (l-1)(2g-2) in
-absolute value, which truncates the search.  The search refuses the
-:data:`MAX_POLYGONS` + 1st polygon (a count that grows with r and g), so every listing
-and check stops there; ``strata_poset`` at its own, smaller ``STRATA_MAX_ELEMENTS`` + 1.
+absolute value, which truncates the search.  The search counts its chains before it
+walks any and refuses more than :data:`MAX_POLYGONS` (a count that grows with r and g),
+so every listing and check refuses alike before its first polygon; ``strata_poset``
+refuses its own, smaller ``STRATA_MAX_ELEMENTS`` + 1st polygon as it reads them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, islice
+from itertools import combinations
 from typing import Callable, Iterator, TypeVar
 
 from .core import HNPolygon, _require_at_least, _Value, polygon_from_quotient_data
@@ -21,22 +22,15 @@ from .opers import oper_polygon
 
 _Acc = TypeVar("_Acc")  # a chain's fold: a tuple or a string
 _Item = TypeVar("_Item")  # what it yields per chain
+_Steps = tuple[tuple[int, range], ...]  # each next x with its range of next y: see _steps
 
-# r=8 g=4, the largest listing measured to finish, has 238 211 polygons: as JSON
-# it lists in about 0.3 s and peaks at 75 MB, as csv in 0.9 s and 16 MB, as a table
-# in 1.2 s and 64 MB; tests/gates.py holds them under 120, 30 and 80 MB (2-CPU host,
-# Python 3.11.7).
+# r=8 g=4, the largest listing measured to finish, has 238 211 polygons: it lists in about
+# 0.25 s and 17 MB as JSON, 1.0 s and 19 MB as csv and 1.1 s and 67 MB as a table, which
+# tests/gates.py holds under 25, 30 and 80 MB (2-CPU host, Python 3.11.7).
 MAX_POLYGONS = 250_000
 
 
-def _too_many(r: int, g: int) -> ValueError:
-    return ValueError(f"rank {r} genus {g} has more than MAX_POLYGONS = "
-                      f"{MAX_POLYGONS} admissible polygons; refusing to list them")
-
-
-def _steps(
-    r: int, g: int, x: int, y: int, prev: tuple[int, int]
-) -> tuple[tuple[tuple[int, range], ...], bool]:
+def _steps(r: int, g: int, x: int, y: int, prev: tuple[int, int]) -> tuple[_Steps, bool]:
     """The steps out of breakpoint (x, y) past the origin, reached by a
     segment of slope ``prev``.
 
@@ -105,13 +99,10 @@ def _complete(r: int, g: int, start: _Acc, piece: Callable[[int, int], _Acc],
     # (x, y): the state (x2, y2, y2 - y, x2 - x), keyed so that the walk
     # builds no tuple for a key as it reads the ys of a step.  A table holds
     # the state's steps, whether (r, 0) closes it, and its piece.
-    tables: dict[tuple[int, int, int],
-                 dict[int, tuple[tuple[tuple[int, range], ...], bool, _Acc]]] = {}
-    gap = 2 * g - 2
+    tables: dict[tuple[int, int, int], dict[int, tuple[_Steps, bool, _Acc]]] = {}
     last = piece(r, 0)
 
-    def walk(x: int, y: int, steps: tuple[tuple[int, range], ...],
-             acc: _Acc) -> Iterator[_Item]:
+    def walk(x: int, y: int, steps: _Steps, acc: _Acc) -> Iterator[_Item]:
         for x2, ys in steps:
             reached = tables.get((x, y, x2))
             if reached is None:
@@ -128,43 +119,66 @@ def _complete(r: int, g: int, start: _Acc, piece: Callable[[int, int], _Acc],
                 if closes:
                     yield close(here + last)
 
-    # The origin's steps are the chord bounds of _steps at y = 0, where no
-    # slope precedes the first: lo = 1 and hi = gap*x2*(r-x2)^2 // r.  Each
-    # range is non-empty, since x2*(r-x2) >= r-1 and gap >= 2 give
-    # gap*x2*(r-x2)^2 >= 2(r-1) >= r; and (r, 0) always closes the straight
-    # segment, so the semistable polygon comes last.
-    origin = tuple((x2, range(1, gap * x2 * (r - x2) ** 2 // r + 1)) for x2 in range(1, r))
     try:
-        yield from walk(0, 0, origin, start)
+        yield from walk(0, 0, _origin(r, g), start)
     finally:
         # walk reaches itself through its closure, a cycle that would keep
         # the tables until the cyclic collector ran; breaking it frees them
         # as soon as the walk ends or is closed.
         del walk
-    yield close(start + last)
+    yield close(start + last)  # (r, 0) always closes the origin: the semistable polygon
+
+
+def _origin(r: int, g: int) -> _Steps:
+    """The origin's steps: the chord bounds of :func:`_steps` at y = 0, where no slope
+    precedes the first, lo = 1 and hi = gap*x2*(r-x2)^2 // r.  Each range is non-empty,
+    since x2*(r-x2) >= r-1 and gap >= 2 give gap*x2*(r-x2)^2 >= 2(r-1) >= r."""
+    gap = 2 * g - 2
+    return tuple((x2, range(1, gap * x2 * (r - x2) ** 2 // r + 1)) for x2 in range(1, r))
+
+
+def _count(r: int, g: int) -> int:
+    """The number of chains that :func:`_complete` yields, or some number above
+    :data:`MAX_POLYGONS` once it passes it: the transfer-matrix method (Stanley,
+    *Enumerative Combinatorics* 1, §4.7) over the walk's states.  A memo keyed like
+    the walk's tables holds each state's completions: 1 if (r, 0) closes it, plus those
+    of each state it steps to.  A sum stops once past the limit, so every count held is
+    exact or above it, and so is every sum of them."""
+    limit = MAX_POLYGONS
+    counts: dict[tuple[int, int, int], dict[int, int]] = {}
+
+    def completions(x: int, y: int, steps: _Steps) -> int:
+        total = 0
+        for x2, ys in steps:
+            reached = counts.setdefault((x, y, x2), {})  # read once per state, unlike the walk
+            for y2 in ys:
+                n = reached.get(y2)
+                if n is None:
+                    below, closes = _steps(r, g, x2, y2, (y2 - y, x2 - x))
+                    n = reached[y2] = closes + completions(x2, y2, below)
+                total += n
+                if total > limit:
+                    return total
+        return total
+
+    try:
+        return 1 + completions(0, 0, _origin(r, g))  # 1: (r, 0) closes the origin
+    finally:
+        del completions  # the closure's cycle, broken as _complete breaks walk's
 
 
 def _chains(r: int, g: int, start: _Acc, piece: Callable[[int, int], _Acc],
             close: Callable[[_Acc], _Item]) -> Iterator[_Item]:
     """:func:`_complete` over the admissible chains; checks r, g when called, and
-    raises ValueError in place of a :data:`MAX_POLYGONS` + 1st chain."""
+    raises ValueError then if they have more than :data:`MAX_POLYGONS` chains."""
     _require_at_least(2, rank=r, genus=g)
-    # Unit segments with integer slopes s_i = -s_{r+1-i}, falling by 1 or 2
-    # at each step, make at least 2^(r//2 - 1) admissible polygons.  Once that
-    # exceeds the limit (r >= 38), refuse before a search whose nodes each loop
-    # over r abscissae: it would not finish at ranks in the thousands.
-    if r // 2 - 1 >= MAX_POLYGONS.bit_length():
-        raise _too_many(r, g)
-    walk = _complete(r, g, start, piece, close)
-    # islice and chain are C iterators, so the limit adds no Python frame per chain.
-    return chain(islice(walk, MAX_POLYGONS), _refused(walk, r, g))
-
-
-def _refused(walk: Iterator[_Item], r: int, g: int) -> Iterator[_Item]:
-    """Yields nothing; raises :func:`_too_many` if ``walk`` yields once more."""
-    for _ in walk:
-        raise _too_many(r, g)
-    yield from ()
+    # Unit segments with integer slopes s_i = -s_{r+1-i}, falling by 1 or 2 at each step,
+    # make at least 2^(r//2 - 1) admissible polygons.  Past the limit (r >= 38), refuse
+    # before the count: the origin alone has r - 1 steps, and each state loops over r abscissae.
+    if r // 2 - 1 >= MAX_POLYGONS.bit_length() or _count(r, g) > MAX_POLYGONS:
+        raise ValueError(f"rank {r} genus {g} has more than MAX_POLYGONS = "
+                         f"{MAX_POLYGONS} admissible polygons; refusing to list them")
+    return _complete(r, g, start, piece, close)
 
 
 def iter_admissible(r: int, g: int) -> Iterator[HNPolygon]:

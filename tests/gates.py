@@ -30,20 +30,23 @@ class Gate(NamedTuple):
 
 
 GATES = (
-    Gate("enumerate --rank 8 --genus 7 --format json", 2, "empty", REFUSED, 80, 60),
-    Gate("enumerate --rank 8 --genus 7 --format csv", 2, "empty", REFUSED, 30, 60),
-    Gate("enumerate --rank 8 --genus 7", 2, "empty", REFUSED, 30, 60),
-    Gate("enumerate --rank 8 --genus 7 --verify --format json", 2, "empty", REFUSED, 40, 60),
-    Gate("enumerate --rank 100000000 --genus 2 --verify --format json", 2, "empty", REFUSED, 40, 10),
-    # rank 37, the widest fan-out, is the largest that the walk refuses by counting chains
-    Gate("enumerate --rank 37 --genus 2 --format csv", 2, "empty", REFUSED, 30, 60),
-    Gate("enumerate --rank 37 --genus 2 --verify --format json", 2, "empty", REFUSED, 40, 60),
+    # each refusal past MAX_POLYGONS comes before any walk: by rank from 38, else by exact count
+    Gate("enumerate --rank 8 --genus 7 --format json", 2, "empty", REFUSED, 25, 60),
+    Gate("enumerate --rank 8 --genus 7 --format csv", 2, "empty", REFUSED, 25, 60),
+    Gate("enumerate --rank 8 --genus 7", 2, "empty", REFUSED, 25, 60),
+    Gate("enumerate --rank 8 --genus 7 --verify --format json", 2, "empty", REFUSED, 25, 60),
+    Gate("enumerate --rank 100000000 --genus 2 --verify --format json", 2, "empty", REFUSED, 25, 10),
+    # rank 37, the widest fan-out, is the largest that the search refuses by its count
+    Gate("enumerate --rank 37 --genus 2 --format json", 2, "empty", REFUSED, 25, 60),
+    Gate("enumerate --rank 37 --genus 2 --format csv", 2, "empty", REFUSED, 25, 60),
+    Gate("enumerate --rank 37 --genus 2 --verify --format json", 2, "empty", REFUSED, 25, 60),
+    Gate("strata --rank 8 --genus 7", 2, "empty", REFUSED, 25, 60),
     Gate("strata --rank 8 --genus 4 --format json", 2, "empty", "above the limit of 30000", 100, 60),
     Gate("oper-polygon --rank 100000000 --genus 2 --format json", 2, "empty", REFUSED, 100, 60),
     Gate("enumerate --rank 8 --genus 4 --verify --format json", 0, (134, "b7ba3ea19bde0def235c"
          "01b59139f0916ecb769e90d06efa14af5123a2e59c17"), "", 40, 120),
     Gate("enumerate --rank 8 --genus 4 --format json", 0, (19_700_031, "998a92b90650d2b208e51f"
-         "19e77f87a5d4f1947b813ca7b5efa114e8c7f416b5"), "", 120, 120),
+         "19e77f87a5d4f1947b813ca7b5efa114e8c7f416b5"), "", 25, 120),
     Gate("enumerate --rank 8 --genus 4 --format csv", 0, (11_222_897, "d52943649553df359cfe18"
          "4c6bb9b7b5e8aa73ddb486a95146d7553ca04fbfe3"), "", 30, 120),
     Gate("enumerate --rank 8 --genus 4 --format table", 0, (13_816_309, "fa4b5f50109d6aa605fc"

@@ -400,20 +400,30 @@ class TestEnumerateCommand:
         assert (code, out.size) == (0, 227_464)
         assert peak < 1_000_000
 
-    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_a_refused_listing_starts_no_cell_walk(self, capture, monkeypatch, fmt):
-        # the walk of places refuses the listing before the cells are folded
-        starts, chains = [], enumeration._chains
-
-        def recorded(r, g, start, *rest):
-            starts.append(start)
-            return chains(r, g, start, *rest)
-
+        # the count refuses the listing before any walk folds a place, a cell or a text
+        walks = []
         monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 4)
-        monkeypatch.setattr(enumeration, "_chains", recorded)
+        monkeypatch.setattr(enumeration, "_complete", lambda *args: walks.append(args))
         code, out, err = capture("enumerate", "--rank", "3", "--genus", "2", "--format", fmt)
         assert (code, out) == (2, "") and "MAX_POLYGONS = 4" in err
-        assert starts and "0,0" not in starts
+        assert walks == []
+
+    def test_a_refused_listing_leaves_no_cyclic_garbage(self, capture, monkeypatch):
+        # The count's recursive closure would keep its tables in a cycle until a
+        # collection: some 3600 objects here.
+        monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 1000)
+        gc.collect()
+        gc.disable()
+        try:
+            for fmt in ("json", "csv", "table"):
+                code, out, _ = capture("enumerate", "--rank", "7", "--genus", "3", "--format", fmt)
+                assert (code, out) == (2, "")
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert freed == 0
 
     def test_deterministic_output(self, capture):
         _, first, _ = capture("enumerate", "--rank", "4", "--genus", "2", "--format", "csv")

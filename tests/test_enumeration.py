@@ -132,17 +132,17 @@ class TestEnumerateAdmissible:
         with pytest.raises(ValueError, match="rank 3 genus 2 .*MAX_POLYGONS = 4"):
             enumerate_admissible(3, 2)
 
-    def test_iter_admissible_refuses_in_place_of_one_polygon_more(self, monkeypatch):
+    def test_iter_admissible_refuses_when_called(self, monkeypatch):
+        # The count decides before the walk: a refused search yields no polygon first.
         listed = enumerate_admissible_slow(3, 2)  # its 5 polygons
         monkeypatch.setattr(enumeration, "MAX_POLYGONS", 5)
-        polys = iter_admissible(3, 2)
-        assert tuple(itertools.islice(polys, 5)) == listed
-        assert next(polys, None) is None
+        assert tuple(iter_admissible(3, 2)) == listed
         monkeypatch.setattr(enumeration, "MAX_POLYGONS", 4)
-        polys = iter_admissible(3, 2)
-        assert tuple(itertools.islice(polys, 4)) == listed[:4]
+        walks = []
+        monkeypatch.setattr(enumeration, "_complete", lambda *args: walks.append(args))
         with pytest.raises(ValueError, match="rank 3 genus 2 .*MAX_POLYGONS = 4"):
-            next(polys)
+            iter_admissible(3, 2)
+        assert walks == []
 
     def test_counts_at_ranks_nine_and_ten(self):
         # the slow oracle takes about 0.1 s at r=9 and 0.4 s at r=10, where
@@ -175,6 +175,7 @@ class TestEnumerateAdmissible:
             raise AssertionError("searched")
 
         monkeypatch.setattr(enumeration, "_complete", no_search)
+        monkeypatch.setattr(enumeration, "_steps", no_search)  # nor count
         for r in (38, 10**9):
             for search in (iter_admissible, enumerate_admissible, verify_oper_maximality):
                 with pytest.raises(ValueError, match="MAX_POLYGONS = 250000"):
@@ -183,10 +184,15 @@ class TestEnumerateAdmissible:
     def test_walk_stays_lazy(self):
         # The search memoizes ranges of next breakpoints, not the children
         # they expand to: tables that expand each range into a tuple of y
-        # values allocate about 33 MB before the first polygon here.
+        # values allocate about 33 MB before the first polygon here.  The
+        # count refuses this rank and genus, so the walk is run directly.
+        with pytest.raises(ValueError, match="MAX_POLYGONS = 250000"):
+            iter_admissible(37, 100)
         tracemalloc.start()
         try:
-            first = next(iter_admissible(37, 100))
+            walk = enumeration._complete(37, 100, ((0, 0),), lambda x, y: ((x, y),),
+                                         HNPolygon._from_search)
+            first = next(walk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -199,7 +205,7 @@ class TestEnumerateAdmissible:
         # The origin's steps are in closed form, and each later state's are
         # computed at its first visit.  An origin range loosened by a step
         # yields the same polygons but reaches more states: 1132 or more at
-        # rank 7 genus 3.
+        # rank 7 genus 3.  The count before the walk visits the same states.
         steps, calls = enumeration._steps, 0
 
         def counted(*args):
@@ -208,9 +214,42 @@ class TestEnumerateAdmissible:
             return steps(*args)
 
         monkeypatch.setattr(enumeration, "_steps", counted)
+        enumeration._count(r, g)
+        assert calls == tables
         for _ in iter_admissible(r, g):
             pass
-        assert calls == tables
+        assert calls == 3 * tables  # the count again, then the walk
+
+    @pytest.mark.parametrize("r, g", [*itertools.product(range(2, 7), range(2, 5)), (7, 3)])
+    def test_count_equals_the_slow_oracle(self, r, g):
+        # test_search_builds_what_the_constructor_accepts ties it to the walk
+        assert enumeration._count(r, g) == len(enumerate_admissible_slow(r, g))
+
+    def test_count_is_exact_to_the_limit_and_stops_past_it(self, monkeypatch):
+        # Rank 7 genus 3 has 5767 polygons: counted exactly at a limit of 5767,
+        # one past a limit of 5766, and only some way past a limit of 100.
+        for limit, counted in ((5767, 5767), (5766, 5767), (100, 141)):
+            monkeypatch.setattr(enumeration, "MAX_POLYGONS", limit)
+            assert enumeration._count(7, 3) == counted
+
+    @pytest.mark.parametrize("r, g, calls", [(37, 2, 5_000), (3, 1000, 260_000)])
+    def test_count_refuses_within_a_bound_on_step_tables(self, monkeypatch, r, g, calls):
+        # The count returns once it passes the limit.  Rank 37 genus 2, the
+        # widest fan-out below the rank guard, computes 4382 step tables, where
+        # a whole count takes over a minute; rank 3 genus 1000, where nearly
+        # every state closes one polygon, computes 250 274.
+        steps, made = enumeration._steps, 0
+
+        def counted(*args):
+            nonlocal made
+            made += 1
+            return steps(*args)
+
+        monkeypatch.setattr(enumeration, "_steps", counted)
+        assert enumeration._count(r, g) > enumeration.MAX_POLYGONS
+        assert made < calls
+        with pytest.raises(ValueError, match=f"rank {r} genus {g} .*MAX_POLYGONS = 250000"):
+            iter_admissible(r, g)
 
     def test_gap_constraints_hold(self):
         gap = 2 * 3 - 2
@@ -242,6 +281,7 @@ class TestEnumerateAdmissible:
             under = all(map(operator.le, vector, ceiling))
             assert place == (OPER if poly == top else UNDER if under else ABOVE)
         assert types == {int}
+        assert count == enumeration._count(r, g)
         assert count == {(5, 3): 237, (7, 3): 5767, (8, 3): 29_427, (8, 4): 238_211}.get(
             (r, g), count)
 
