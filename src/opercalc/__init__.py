@@ -14,9 +14,13 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     name: module
     for module, names in {
-        "core": (
+        "bundles": (
             "BundleNumerics",
             "CurveParams",
+            "OperShape",
+            "oper_quotient_degrees",
+        ),
+        "core": (
             "HNPolygon",
             "PosetDescription",
             "polygon_from_quotient_data",
@@ -54,9 +58,7 @@ _EXPORTS = {
             "worst_case_subbundle_slope_bound",
         ),
         "opers": (
-            "OperShape",
             "oper_polygon",
-            "oper_quotient_degrees",
             "oper_space_dimensions",
             "threshold_C",
         ),

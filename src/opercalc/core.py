@@ -1,4 +1,6 @@
-"""Exact polygon arithmetic: bundle numerics, convex HN polygons, dominance order.
+"""Exact polygon arithmetic: convex HN polygons and the dominance order, with
+the value base and the argument checks that every module shares.  The bundle
+numerics (curve, rank and degree) are in :mod:`opercalc.bundles`.
 
 Polygon breakpoints are integers, and no floating point is used anywhere in
 the package.  Dominance is one rule, decided in integers without building a
@@ -19,38 +21,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on the prime bases 2 .. 37.
-
-    Exact below 318 665 857 834 031 151 167 461, the least strong
-    pseudoprime to all twelve bases (Sorenson and Webster, "Strong
-    pseudoprimes to twelve prime bases", 2015); larger ``n`` raise
-    ``ValueError``.
-    """
-    if n >= 318_665_857_834_031_151_167_461:
-        raise ValueError(f"cannot decide whether {n} is prime: the primality test "
-                         "is exact only below 318665857834031151167461")
-    if n < 2:
-        return False
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for a in bases:
-        if n % a == 0:
-            return n == a
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    d = (n - 1) >> s
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _require_integers(**values: object) -> None:
@@ -159,47 +129,6 @@ class _Value:
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._values()
-
-
-class CurveParams(_Value):
-    """Ambient arithmetic context: genus and characteristic.
-
-    ``p = 0`` is allowed for characteristic-zero formulas that never
-    mention the characteristic; positive ``p`` must be prime.
-    """
-
-    __slots__ = ("g", "p")
-
-    def __init__(self, g: int, p: int = 0) -> None:
-        _require_at_least(2, genus=g)
-        _require_at_least(0, characteristic=p)
-        if p > 0 and not _is_prime(p):
-            raise ValueError(f"positive characteristic must be prime, got {p}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "p", p)
-
-    def require_positive_char(self) -> int:
-        if self.p == 0:
-            raise ValueError("operation requires positive characteristic")
-        return self.p
-
-
-class BundleNumerics(_Value):
-    """Discrete invariants of a bundle: (rank, degree) with exact slope."""
-
-    __slots__ = ("rank", "degree")
-
-    def __init__(self, rank: int, degree: int) -> None:
-        _require_at_least(1, rank=rank)
-        _require_integers(degree=degree)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-
-    @property
-    def slope(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.degree, self.rank)
 
 
 class HNPolygon(_Value):

@@ -11,9 +11,8 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterator, Sequence
 
-from .core import (
-    BundleNumerics, CurveParams, _integer_tuple, _require_at_least, _require_integers, _Value,
-)
+from .bundles import BundleNumerics, CurveParams
+from .core import _integer_tuple, _require_at_least, _require_integers, _Value
 
 # The exhaustive score search walks every profile of the weight, each of up
 # to w parts, so profiles times w is bounded: MAX_PARTS // w is the most

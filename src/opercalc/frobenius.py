@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import BundleNumerics, CurveParams, _require_at_least, _require_integers, _Value
-from .opers import OperShape
+from .bundles import BundleNumerics, CurveParams, OperShape
+from .core import _require_at_least, _require_integers, _Value
 
 
 def pushforward_numerics(Q: BundleNumerics, curve: CurveParams) -> BundleNumerics:

@@ -15,9 +15,8 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .core import (
-    BundleNumerics, CurveParams, HNPolygon, _Value, polygon_from_quotient_data, shatz_leq,
-)
+from .bundles import BundleNumerics, CurveParams, OperShape, oper_quotient_degrees
+from .core import HNPolygon, _Value, polygon_from_quotient_data, shatz_leq
 from .enumeration import ABOVE, OPER, _places, iter_admissible, verify_oper_maximality
 from .filtrations import (
     FiltrationProfile, _partitions, key_inequality_check, max_score_brute_force,
@@ -27,7 +26,7 @@ from .frobenius import (
     QuotProblem, frobenius_oper_consistency, hirschowitz_bound, pushforward_numerics,
     quot_dim_lower_bound, quot_nonempty, worst_case_subbundle_slope_bound,
 )
-from .opers import OperShape, oper_polygon, oper_quotient_degrees, oper_space_dimensions
+from .opers import oper_polygon, oper_space_dimensions
 
 
 class LawResult(_Value):

@@ -54,6 +54,9 @@ GATES = (
     Gate("optimize --weight 200 --cap 200 --oracle", 2, "empty", "MAX_PARTS = 12500000", 40, 10),
     Gate("pushforward --rank 1 --degree 0 --genus 2 --char 2305843009213693951", 0, (130,
          "1f7580c545acb8df6e5876f18b013abf6f96cb7431a15cfee73ee761566bd04d"), "", 40, 10),
+    # every law, through the calculators that the CLI imports only when it dispatches one
+    Gate("check-laws", 0, (682, "4ed97a1de31dfe3d95ef122dcbad43881c22772cf2c347df2ce799028fb848df"),
+         "", 25, 10),
 )
 
 

@@ -30,7 +30,7 @@ from opercalc import (
     verify_oper_maximality,
     worst_case_subbundle_slope_bound,
 )
-from opercalc import cli
+from opercalc import output
 from opercalc.filtrations import _partitions, sun_gap_term
 from opercalc.laws import ALL_LAWS, random_polygon
 
@@ -161,7 +161,7 @@ def test_criterion_8_property_suites():
     )
     for r, g in itertools.product(range(2, 6), (2, 3)):
         polys = enumerate_admissible(r, g)
-        loaded = json.loads(json.dumps(polys, default=cli._json_default))
+        loaded = json.loads(json.dumps(polys, default=output._json_default))
         round_tripped = tuple(HNPolygon(p["breakpoints"]) for p in loaded)
         ok = ok and round_tripped == polys
     _report(8, "property suites", ok)

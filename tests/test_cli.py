@@ -17,7 +17,8 @@ from opercalc import (
     HNPolygon, cli, enumerate_admissible, enumerate_admissible_slow, enumeration, oper_polygon,
     shatz_leq,
 )
-from opercalc.cli import _cell, _json_default, main, run
+from opercalc.cli import main, run
+from opercalc.output import _cell, _json_default
 from opercalc import laws
 from opercalc.laws import ALL_LAWS, Law
 
@@ -551,7 +552,7 @@ class TestSweepConfig:
         monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 8)
         assert capture("dims", "--config", str(config))[1].count("\n") == 1 + 8
         monkeypatch.setattr("opercalc.enumeration.MAX_POLYGONS", 7)
-        monkeypatch.setattr("opercalc.cli._dims_record", None)  # no row is computed
+        monkeypatch.setattr("opercalc.calculators._dims_record", None)  # no row is computed
         assert capture("dims", "--config", str(config)) == (2, "", (
             f"error: config {config} sweeps 8 rows, more than MAX_POLYGONS = 7; "
             "refusing to compute them\n"))
@@ -791,3 +792,11 @@ def test_every_gate_parses_and_states_its_bounds():
             and re.fullmatch("[0-9a-f]{64}", gate.stdout[1])), gate.argv
         # no row passes by doing nothing: a success pins its bytes, a refusal its message
         assert gate.stdout != "empty" if gate.exit == 0 else gate.stderr, gate.argv
+
+
+def test_every_command_resolves_to_its_handler():
+    # A calculator's handler is named by a string and looked up only when it runs,
+    # so a misspelled name fails here and not in a user's run.
+    for name, (handler, _, _) in cli.COMMANDS.items():
+        function = cli._resolve(handler)
+        assert callable(function) and function.__name__ == "cmd_" + name.replace("-", "_"), name

@@ -34,8 +34,8 @@ from opercalc import (
     verify_oper_maximality,
     worst_case_subbundle_slope_bound,
 )
-from opercalc import cli
-from opercalc.core import _is_prime
+from opercalc import output
+from opercalc.bundles import _is_prime
 from opercalc.enumeration import iter_admissible
 from opercalc.filtrations import sun_gap_term
 from opercalc.laws import random_polygon
@@ -400,7 +400,7 @@ class TestHNPolygon:
 
     def test_json_round_trip(self):
         poly = HNPolygon(((0, 0), (1, 2), (2, 2), (3, 0)))
-        written = json.dumps(poly, default=cli._json_default)
+        written = json.dumps(poly, default=output._json_default)
         assert HNPolygon(json.loads(written)["breakpoints"]) == poly
 
     @pytest.mark.parametrize("breakpoints", [

@@ -15,14 +15,17 @@ import opercalc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# What `enumerate` and `strata` run; every process of the CLI imports these.
+# What `enumerate`, `strata` and `oper-polygon` run; every process of the CLI imports these.
 CLI_MODULES = ["opercalc", "opercalc.cli", "opercalc.core", "opercalc.enumeration",
-               "opercalc.opers"]
+               "opercalc.opers", "opercalc.output"]
+
+# What every calculator subcommand loads on top: its handler and the bundle numerics.
+CALCULATOR_MODULES = ["opercalc.bundles", "opercalc.calculators"]
 
 PUBLIC_NAMES = [
     "BundleNumerics", "CurveParams", "ExpectedDimensions",
     "FiltrationProfile", "HNPolygon", "MaxDegreeCertificate", "MaximalityReport",
-    "OperShape", "PosetDescription", "QuotCertificate", "QuotProblem", "core",
+    "OperShape", "PosetDescription", "QuotCertificate", "QuotProblem", "bundles", "core",
     "enumerate_admissible", "enumerate_admissible_slow", "enumeration",
     "expected_dimensions", "filtrations", "frobenius", "frobenius_oper_consistency", "hirschowitz_bound",
     "key_inequality_check", "max_score_brute_force", "max_score_closed_form",
@@ -93,23 +96,40 @@ class TestImportSet:
          JSON_MODULES),
         ("from opercalc import cli\n"
          "assert cli.run(['pushforward', '--rank', '2', '--degree', '1', '--genus', '2',"
-         " '--char', '3']) == 0", ["opercalc.frobenius", *FRACTION_MODULES]),
+         " '--char', '3']) == 0", [*CALCULATOR_MODULES, "opercalc.frobenius", *FRACTION_MODULES]),
+        ("from opercalc import cli\n"
+         "assert cli.run(['hirschowitz', '--n', '3', '--d', '1', '--m', '1', '--genus', '2'])"
+         " == 0", [*CALCULATOR_MODULES, "opercalc.frobenius", *FRACTION_MODULES]),
+        ("from opercalc import cli\n"
+         "assert cli.run(['quot', '--q-rank', '1', '--q-degree', '0', '--rank', '2',"
+         " '--genus', '2', '--char', '3']) == 0",
+         [*CALCULATOR_MODULES, "opercalc.frobenius", *FRACTION_MODULES]),
         ("from opercalc import cli\n"
          "assert cli.run(['optimize', '--weight', '4', '--cap', '2']) == 0",
-         ["opercalc.filtrations", *FRACTION_MODULES]),
+         [*CALCULATOR_MODULES, "opercalc.filtrations", *FRACTION_MODULES]),
+        ("from opercalc import cli\n"
+         "assert cli.run(['sun-bound', '--profile', '2,1', '--genus', '2', '--char', '3'])"
+         " == 0", [*CALCULATOR_MODULES, "opercalc.filtrations", *FRACTION_MODULES]),
         ("from opercalc import cli\n"
          "assert cli.run(['dims', '--rank', '3', '--genus', '2', '--format', 'csv']) == 0",
-         ["opercalc.frobenius", *FRACTION_MODULES]),
+         [*CALCULATOR_MODULES, "opercalc.frobenius", *FRACTION_MODULES]),
         ("from opercalc import cli\n"
          "assert cli.run(['check-laws']) == 0",
-         ["opercalc.filtrations", "opercalc.frobenius", "opercalc.laws", *FRACTION_MODULES]),
+         [*CALCULATOR_MODULES, "opercalc.filtrations", "opercalc.frobenius", "opercalc.laws",
+          *FRACTION_MODULES]),
+        ("from opercalc import cli\n"
+         "assert cli.run(['oper-polygon', '--rank', '3', '--genus', '2']) == 0", []),
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--help']) == 0", []),
+        # a calculator's help is printed from the command table, without its handler
+        ("from opercalc import cli\n"
+         "assert cli.run(['pushforward', '--help']) == 0", []),
         ("from opercalc import cli\n"
          "assert cli.run(['enumerate', '--rank', 'x']) == 2", []),
     ], ids=["import", "enumerate-verify", "enumerate-csv", "enumerate-json",
-            "enumerate-table", "strata", "strata-json", "pushforward", "optimize", "dims",
-            "check-laws", "help", "usage-error"])
+            "enumerate-table", "strata", "strata-json", "pushforward", "hirschowitz", "quot",
+            "optimize", "sun-bound", "dims", "check-laws", "oper-polygon", "help",
+            "pushforward-help", "usage-error"])
     def test_cli_imports_only_what_its_command_runs(self, statements, extra):
         assert opercalc_modules_after(statements) == sorted(CLI_MODULES + extra)
 
@@ -119,15 +139,31 @@ class TestImportSet:
         assert opercalc_modules_after(
             "from opercalc import cli\n"
             f"assert cli.run(['dims', '--config', {str(config)!r}]) == 0"
-        ) == sorted(CLI_MODULES + ["opercalc.frobenius", *FRACTION_MODULES, *JSON_MODULES])
+        ) == sorted(CLI_MODULES + [*CALCULATOR_MODULES, "opercalc.frobenius", *FRACTION_MODULES,
+                                   *JSON_MODULES])
 
     def test_the_slow_oracle_cross_check_loads_no_fractions(self):
-        # what perfbench/crosscheck.py runs, through the package attributes
+        # what perfbench/crosscheck.py runs, through the package attributes: no
+        # fractions and no bundle numerics either
         assert opercalc_modules_after(
             "import opercalc\n"
             "assert opercalc.enumerate_admissible_slow(4, 3)"
             " == opercalc.enumerate_admissible(4, 3)"
         ) == ["opercalc", "opercalc.core", "opercalc.enumeration", "opercalc.opers"]
+
+    def test_a_calculator_run_by_python_m_loads_no_second_cli(self):
+        # `python -m opercalc.cli` runs cli as __main__ through runpy._run_module_as_main,
+        # so a module that imported opercalc.cli back would compile and run a second
+        # copy of it.  The probe runs that function as -m does and lists sys.modules.
+        modules = opercalc_modules_after(
+            "import runpy\n"
+            "sys.argv[1:] = ['hirschowitz', '--n', '3', '--d', '1', '--m', '1', '--genus', '2']\n"
+            "try:\n"
+            "    runpy._run_module_as_main('opercalc.cli')\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0\n"
+            "assert sys.modules['__main__'].COMMANDS")
+        assert "opercalc.calculators" in modules and "opercalc.cli" not in modules
 
     def test_package_import_loads_no_submodule(self):
         assert opercalc_modules_after("import opercalc") == ["opercalc"]
@@ -135,15 +171,16 @@ class TestImportSet:
     def test_one_name_loads_only_its_module(self):
         assert opercalc_modules_after("from opercalc import HNPolygon") == [
             "opercalc", "opercalc.core"]
-        # frobenius reads the canonical shape from opers, which every CLI process loads
+        # frobenius reads the canonical shape from bundles, which no search process loads
         assert opercalc_modules_after("from opercalc import expected_dimensions") == [
-            *FRACTION_MODULES, "opercalc", "opercalc.core", "opercalc.frobenius",
-            "opercalc.opers"]
+            *FRACTION_MODULES, "opercalc", "opercalc.bundles", "opercalc.core",
+            "opercalc.frobenius"]
 
 
 # The relative imports made inside a function body, as (importer, imported):
 # each spares some command of the CLI a module that the command does not run.
-IMPORTS_IN_FUNCTIONS = {("cli", "filtrations"), ("cli", "frobenius"), ("cli", "laws")}
+IMPORTS_IN_FUNCTIONS = {("cli", "calculators"), ("calculators", "filtrations"),
+                        ("calculators", "frobenius"), ("calculators", "laws")}
 
 
 def _relative_imports(tree: ast.AST, importer: str) -> tuple[set, set]:
@@ -193,7 +230,7 @@ class TestLazyExports:
     @pytest.mark.parametrize("name", PUBLIC_NAMES)
     def test_name_is_the_defining_modules_object(self, name):
         value = getattr(opercalc, name)
-        if name in {"core", "enumeration", "filtrations", "frobenius", "opers"}:
+        if name in {"bundles", "core", "enumeration", "filtrations", "frobenius", "opers"}:
             assert value is sys.modules[f"opercalc.{name}"]
         else:
             assert value.__module__.startswith("opercalc.")

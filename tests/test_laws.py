@@ -8,7 +8,7 @@ from opercalc import BundleNumerics
 from opercalc.enumeration import ABOVE, OPER, UNDER, _places
 from opercalc.filtrations import key_inequality_check, rearrangement_check
 from opercalc.laws import ALL_LAWS, Law, LawResult, _random_triples, random_polygon
-from opercalc.opers import oper_quotient_degrees
+from opercalc.bundles import oper_quotient_degrees
 
 # Every law's name, in report order, and the number of cases its grid yields;
 # a grid that loses or gains a case fails here.
